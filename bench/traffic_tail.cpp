@@ -12,8 +12,8 @@
 // seeded streams, so rows and digests are byte-identical at any `-j` and
 // any `--shards`. Wall-clock goes to stderr. Exit status is
 // bench::exit_code(): a violated claim (lost requests, deadline misses on
-// a clean link, broken quantile ordering, inexact merge) fails the binary
-// and scripts/bench_report.sh records the rows as regression gates.
+// a clean link, broken quantile ordering, inexact merge) fails the binary,
+// and CI compares the rows across -j and --shards as regression gates.
 //
 // `--adaptive` appends three more RPC cells running the repaired stack
 // (adaptive_clic_config, column "clic-a"; DESIGN.md §4k) and gates the

@@ -1,7 +1,6 @@
 #include "clic/channel.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 namespace clicsim::clic {
@@ -10,19 +9,26 @@ Channel::Channel(const Config& config, ChannelOps& ops, int peer)
     : config_(&config),
       ops_(&ops),
       peer_(peer),
+      init_window_(config.adaptive ? std::max(1, config.cwnd_init)
+                                   : config.window_packets),
+      pace_gap_(config.adaptive ? config.pacing_gap : 0),
+      // Adaptive mode doubles per expiry (classic RFC 6298 backoff);
+      // rto_backoff shapes the fixed-clock ladder only (1.0 = flat).
+      ladder_factor_(config.adaptive ? 2.0
+                                     : std::max(1.0, config.rto_backoff)),
+      sample_rtt_(config.adaptive),
+      go_back_n_(config.adaptive),
+      ack_gaps_at_once_(config.adaptive),
       rto_rng_(config.seed ^ (static_cast<std::uint64_t>(
                                   static_cast<std::uint32_t>(peer)) *
                               0x9e3779b97f4a7c15ULL),
-               "clic-rto") {
-  if (config.adaptive) {
-    cwnd_pkts_ = static_cast<double>(std::max(1, config.cwnd_init));
-    ssthresh_ = config.window_packets;
-    window_min_ = window_max_ = cwnd();
-  }
+               "clic-rto"),
+      cwnd_pkts_(static_cast<double>(init_window_)),
+      ssthresh_(config.window_packets) {
+  if (config.adaptive) window_min_ = window_max_ = cwnd();
 }
 
 int Channel::cwnd() const {
-  if (!config_->adaptive) return config_->window_packets;
   return std::clamp(static_cast<int>(cwnd_pkts_), 1, config_->window_packets);
 }
 
@@ -33,34 +39,26 @@ void Channel::send(Packet packet, SendCallback on_result) {
     packet.header.flags |= flags::kReset;
     pending_reset_ = false;
   }
-  Unacked entry{std::move(packet), std::move(on_result)};
-  if (config_->adaptive) {
-    // Every adaptive send goes through the paced release path so the
-    // congestion window and pacing gap apply uniformly.
-    pending_.push_back(std::move(entry));
-    pump_adaptive();
-    return;
-  }
-  if (pending_.empty() && in_flight() < config_->window_packets) {
-    transmit(entry.packet);
-    unacked_.emplace(entry.packet.header.seq, std::move(entry));
-    arm_rto();
-  } else {
-    pending_.push_back(std::move(entry));
-  }
+  // Every send goes through the one release path so the window and the
+  // pacing gap apply uniformly. In fixed mode a non-empty pending_ means a
+  // full window, so a new packet goes out at once exactly when nothing
+  // waits ahead of it.
+  pending_.push_back(Unacked{std::move(packet), std::move(on_result)});
+  pump();
 }
 
-void Channel::pump_adaptive() {
+void Channel::pump() {
   const sim::SimTime now = ops_->kernel().sim().now();
   // Congestion-window validation (RFC 2861): a window that was opened by a
   // previous burst says nothing about the path *now*. After an idle gap
   // longer than the RTO, restart from cwnd_init and let slow start re-probe
   // — under periodic incast this is what stops every wave from blasting the
-  // stale window of the previous one into the same shallow queue.
-  if (unacked_.empty() && !pending_.empty() && last_activity_ > 0 &&
-      now - last_activity_ > current_rto() &&
-      cwnd_pkts_ > static_cast<double>(config_->cwnd_init)) {
-    cwnd_pkts_ = static_cast<double>(std::max(1, config_->cwnd_init));
+  // stale window of the previous one into the same shallow queue. A fixed
+  // window never moves off init_window_, so it never restarts.
+  if (cwnd_pkts_ > static_cast<double>(init_window_) && unacked_.empty() &&
+      !pending_.empty() && last_activity_ > 0 &&
+      now - last_activity_ > current_rto()) {
+    cwnd_pkts_ = static_cast<double>(init_window_);
   }
   while (!pending_.empty() && in_flight() < cwnd()) {
     if (now < pace_next_) {
@@ -69,7 +67,7 @@ void Channel::pump_adaptive() {
       if (pace_timer_ == os::Kernel::kInvalidTimer) {
         pace_timer_ = ops_->kernel().add_timer(pace_next_ - now, [this] {
           pace_timer_ = os::Kernel::kInvalidTimer;
-          pump_adaptive();
+          pump();
         });
       }
       break;
@@ -81,7 +79,7 @@ void Channel::pump_adaptive() {
     transmit(entry.packet);
     const std::uint32_t seq = entry.packet.header.seq;
     unacked_.emplace(seq, std::move(entry));
-    pace_next_ = now + config_->pacing_gap;
+    pace_next_ = now + pace_gap_;
   }
   if (!unacked_.empty()) arm_rto();
 }
@@ -101,17 +99,17 @@ void Channel::grow_window() {
 void Channel::collapse_window() {
   ++window_collapses_;
   ssthresh_ = std::max(cwnd() / 2, 2);
-  cwnd_pkts_ = static_cast<double>(std::max(1, config_->cwnd_init));
+  cwnd_pkts_ = static_cast<double>(init_window_);
   window_min_ = std::min(window_min_, cwnd());
 }
 
-void Channel::retransmit_window() {
-  // Go-back-N inside the send window: resend the cwnd oldest unacked
-  // packets back-to-back. After an incast burst drops a run of consecutive
-  // packets, resending only the head heals one sequence number per RTO —
-  // N losses cost N×RTO. Resending a window per round (and a further
-  // window on every partial ack) heals the whole run in ~one RTO.
-  int budget = cwnd();
+void Channel::retransmit_window(int budget) {
+  // A budget of 1 is selective repeat of the head: the reorder buffer on
+  // the far side keeps later arrivals. Loss recovery resends a whole
+  // window back-to-back instead: after an incast burst drops a run of
+  // consecutive packets, resending only the head heals one sequence number
+  // per RTO — N losses cost N×RTO. Resending a window per round (and a
+  // further window on every partial ack) heals the whole run in ~one RTO.
   for (auto& [seq, entry] : unacked_) {
     if (budget-- <= 0) break;
     entry.retransmitted = true;  // Karn: its ack yields no sample
@@ -137,54 +135,41 @@ std::uint32_t Channel::take_piggyback_ack() {
   return rx_next_;
 }
 
-void Channel::drain_pending() {
-  while (!pending_.empty() && in_flight() < config_->window_packets) {
-    Unacked entry = std::move(pending_.front());
-    pending_.pop_front();
-    transmit(entry.packet);
-    const std::uint32_t seq = entry.packet.header.seq;
-    unacked_.emplace(seq, std::move(entry));
-  }
-  if (!unacked_.empty()) arm_rto();
-}
-
 void Channel::process_ack(std::uint32_t ack) {
   bool advanced = false;
   bool sampled = false;
   while (!unacked_.empty() && unacked_.begin()->first < ack) {
     auto node = unacked_.extract(unacked_.begin());
-    if (config_->adaptive) {
-      // Karn's rule: only packets transmitted exactly once yield samples —
-      // a retransmitted packet's ack is ambiguous about which copy it acks.
-      // Packets that waited in the peer's reorder buffer still sample:
-      // their ack delay includes loss-recovery wait, which overestimates —
-      // raising the RTO exactly when the path is struggling.
-      if (!node.mapped().retransmitted) {
-        rtt_.sample(ops_->kernel().sim().now() - node.mapped().sent_at);
-        sampled = true;
-      }
-      grow_window();
+    // Karn's rule: only packets transmitted exactly once yield samples — a
+    // retransmitted packet's ack is ambiguous about which copy it acks.
+    // Packets that waited in the peer's reorder buffer still sample: their
+    // ack delay includes loss-recovery wait, which overestimates — raising
+    // the RTO exactly when the path is struggling.
+    if (sample_rtt_ && !node.mapped().retransmitted) {
+      rtt_.sample(ops_->kernel().sim().now() - node.mapped().sent_at);
+      sampled = true;
     }
+    grow_window();
     if (node.mapped().on_result) node.mapped().on_result(true);
     advanced = true;
   }
   if (!advanced) return;
-  tx_base_ = ack;
-  if (config_->adaptive) last_activity_ = ops_->kernel().sim().now();
+  last_activity_ = ops_->kernel().sim().now();
   // Fresh progress restarts the retransmission clock. The second half of
-  // Karn's algorithm governs the backoff: in adaptive mode the backed-off
-  // RTO is RETAINED until a never-retransmitted packet is acked (a valid
-  // sample). During heavy recovery every ack covers retransmitted packets,
-  // so resetting on mere progress would pin the RTO below the true
-  // (queue-inflated) RTT and every window would time out spuriously
+  // Karn's algorithm governs the backoff: with RTT sampling on, the
+  // backed-off RTO is RETAINED until a never-retransmitted packet is acked
+  // (a valid sample). During heavy recovery every ack covers retransmitted
+  // packets, so resetting on mere progress would pin the RTO below the
+  // true (queue-inflated) RTT and every window would time out spuriously
   // forever; retaining the backoff lets the RTO double past the real RTT,
   // after which a clean exchange samples it and re-bases the estimator.
-  if (!config_->adaptive || sampled) backoff_level_ = 0;
+  // Without samples the fixed clock resets on any progress.
+  if (sampled || !sample_rtt_) backoff_level_ = 0;
   if (rto_timer_ != os::Kernel::kInvalidTimer) {
     ops_->kernel().cancel_timer(rto_timer_);
     rto_timer_ = os::Kernel::kInvalidTimer;
   }
-  if (config_->adaptive && in_recovery_) {
+  if (in_recovery_) {
     if (ack >= recover_point_) {
       in_recovery_ = false;  // the whole loss episode is acknowledged
     } else {
@@ -192,39 +177,22 @@ void Channel::process_ack(std::uint32_t ack) {
       // short of the recovery point, so the next packets in the run are
       // also missing. Resend the next window now instead of idling until
       // another RTO expires.
-      retransmit_window();
+      retransmit_window(cwnd());
     }
   }
   if (!unacked_.empty()) arm_rto();
-  if (config_->adaptive) {
-    pump_adaptive();
-  } else {
-    drain_pending();
-  }
+  pump();
 }
 
 sim::SimTime Channel::current_rto() const {
-  if (config_->adaptive) {
-    // The estimator replaces the fixed clock as the ladder's base; until
-    // the first sample the configured rto seeds it. Consecutive expiries
-    // double the deadline (classic RFC 6298 backoff) regardless of
-    // rto_backoff, which exists to shape the fixed-clock ladder.
-    double rto = static_cast<double>(
-        rtt_.primed() ? rtt_.rto(config_->rto_min, config_->rto_max)
-                      : config_->rto);
-    for (int i = 0; i < backoff_level_; ++i) {
-      rto *= 2.0;
-      if (rto >= static_cast<double>(config_->rto_max)) break;
-    }
-    return std::min<sim::SimTime>(static_cast<sim::SimTime>(rto),
-                                  config_->rto_max);
-  }
-  double rto = static_cast<double>(config_->rto);
-  if (config_->rto_backoff > 1.0) {  // 1.0 = fixed clock, level-independent
-    for (int i = 0; i < backoff_level_; ++i) {
-      rto *= config_->rto_backoff;
-      if (rto >= static_cast<double>(config_->rto_max)) break;
-    }
+  // The estimator replaces the configured clock as the ladder's base once
+  // it has a sample; fixed mode never samples, so its base stays `rto`.
+  double rto = static_cast<double>(
+      rtt_.primed() ? rtt_.rto(config_->rto_min, config_->rto_max)
+                    : config_->rto);
+  for (int i = 0; i < backoff_level_; ++i) {
+    rto *= ladder_factor_;
+    if (rto >= static_cast<double>(config_->rto_max)) break;
   }
   return std::min<sim::SimTime>(static_cast<sim::SimTime>(rto),
                                 config_->rto_max);
@@ -256,26 +224,15 @@ void Channel::rto_expired() {
     return;
   }
   ++backoff_level_;
-  if (config_->adaptive) {
+  if (go_back_n_) {
     // Timeout response: halve ssthresh, collapse the window, and enter
     // loss recovery — everything up to next_seq_ is suspect, so resend a
     // window of it and let partial acks clock out the rest.
     collapse_window();
     in_recovery_ = true;
     recover_point_ = next_seq_;
-    retransmit_window();
-    arm_rto();
-    return;
   }
-  // Selective repeat of the oldest outstanding packet; the reorder buffer
-  // on the far side keeps later arrivals.
-  ++retransmits_;
-  Unacked& head = unacked_.begin()->second;
-  head.retransmitted = true;  // Karn: this packet's ack yields no sample
-  Packet& oldest = head.packet;
-  // Retransmission must not re-trigger the caller's descriptor callback.
-  oldest.on_descriptor_done = {};
-  transmit(oldest);
+  retransmit_window(in_recovery_ ? cwnd() : 1);
   arm_rto();
 }
 
@@ -287,22 +244,19 @@ void Channel::give_up() {
   ++gave_up_;
   backoff_level_ = 0;
   pending_reset_ = true;
-  tx_base_ = next_seq_;
-  if (config_->adaptive) {
-    // Channel resync point: the path (and peer state) that produced the
-    // samples may be gone. Forget the estimator, restart from cwnd_init,
-    // and drop any scheduled paced release — there is nothing left to pace.
-    rtt_.reset();
-    cwnd_pkts_ = static_cast<double>(std::max(1, config_->cwnd_init));
-    ssthresh_ = config_->window_packets;
-    in_recovery_ = false;
-    recover_point_ = 0;
-    pace_next_ = 0;
-    last_activity_ = 0;
-    if (pace_timer_ != os::Kernel::kInvalidTimer) {
-      ops_->kernel().cancel_timer(pace_timer_);
-      pace_timer_ = os::Kernel::kInvalidTimer;
-    }
+  // Channel resync point: the path (and peer state) that produced the
+  // samples may be gone. Forget the estimator, restart the window, and
+  // drop any scheduled paced release — there is nothing left to pace.
+  rtt_.reset();
+  cwnd_pkts_ = static_cast<double>(init_window_);
+  ssthresh_ = config_->window_packets;
+  in_recovery_ = false;
+  recover_point_ = 0;
+  pace_next_ = 0;
+  last_activity_ = 0;
+  if (pace_timer_ != os::Kernel::kInvalidTimer) {
+    ops_->kernel().cancel_timer(pace_timer_);
+    pace_timer_ = os::Kernel::kInvalidTimer;
   }
   auto unacked = std::move(unacked_);
   auto pending = std::move(pending_);
@@ -356,7 +310,7 @@ void Channel::packet_in(const ClicHeader& header, net::HeaderBlob upper,
     // sender's retransmissions are clocked by arriving acks (each partial
     // ack releases the next window), so a promptly reported gap-fill is
     // what keeps recovery at RTT timescale instead of ack-delay timescale.
-    note_ack_owed(wants_immediate_ack || config_->adaptive);
+    note_ack_owed(wants_immediate_ack || ack_gaps_at_once_);
     return;
   }
 

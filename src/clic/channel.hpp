@@ -3,6 +3,11 @@
 // delivery with an out-of-order reorder buffer (needed under channel
 // bonding, which stripes packets across NICs).
 //
+// One send/ack/timeout state machine serves both reliability modes. The
+// paper's fixed clock is the adaptive machine with a full window, no
+// pacing, a flat (or `rto_backoff`) ladder and no RTT samples; only four
+// policy points branch on the mode (DESIGN.md §4k).
+//
 // Bounded-failure semantics: consecutive retransmission timeouts back off
 // geometrically (with deterministic jitter) and are budgeted — after
 // `Config::max_retries` expiries with no ack progress the channel gives up,
@@ -114,12 +119,12 @@ class Channel {
   struct Unacked {
     Packet packet;
     SendCallback on_result;
-    sim::SimTime sent_at = 0;     // adaptive: RTT-sample timestamp
-    bool retransmitted = false;   // adaptive: Karn's rule — never sample
+    sim::SimTime sent_at = 0;     // RTT-sample timestamp
+    bool retransmitted = false;   // Karn's rule: never sample
   };
 
   void transmit(Packet& packet);
-  void drain_pending();
+  void pump();  // paced, window-limited release of pending_
   void process_ack(std::uint32_t ack);
   void arm_rto();
   void rto_expired();
@@ -127,21 +132,32 @@ class Channel {
   void note_ack_owed(bool immediate);
   void send_pure_ack();
 
-  // Adaptive mode (all no-ops when Config::adaptive is off).
-  void pump_adaptive();   // paced, window-limited release of pending_
   void grow_window();     // slow start below ssthresh, +1/cwnd above
   void collapse_window();  // timeout response: ssthresh = inflight/2
-  void retransmit_window();  // loss recovery: resend cwnd oldest unacked
+  // Resends up to `budget` of the oldest unacked packets.
+  void retransmit_window(int budget);
 
   const Config* config_;
   ChannelOps* ops_;
   int peer_;
 
+  // Reliability policy, resolved once from Config::adaptive. Fixed mode
+  // opens the full window at once, never paces, and grows its RTO by
+  // `rto_backoff`; adaptive mode starts at cwnd_init, paces, and doubles.
+  const int init_window_;         // start, collapse and idle-restart cwnd
+  const sim::SimTime pace_gap_;   // minimum spacing between releases
+  const double ladder_factor_;    // RTO growth per consecutive expiry
+  // The four policy differences: RTT sampling (and with it, backoff that
+  // resets on a valid sample rather than on progress), the window-collapse
+  // plus go-back-N loss response, and immediate acks for gaps.
+  const bool sample_rtt_;
+  const bool go_back_n_;
+  const bool ack_gaps_at_once_;
+
   // TX state. The retransmit timer is a cancellable kernel (wheel) timer:
   // fresh ack progress cancels and re-arms it instead of bumping a
   // generation counter and stranding the superseded closure.
   std::uint32_t next_seq_ = 0;
-  std::uint32_t tx_base_ = 0;  // oldest unacknowledged sequence
   std::map<std::uint32_t, Unacked> unacked_;
   std::deque<Unacked> pending_;  // waiting for window space
   os::Kernel::TimerId rto_timer_ = os::Kernel::kInvalidTimer;
@@ -149,12 +165,13 @@ class Channel {
   bool pending_reset_ = false;  // next data packet carries flags::kReset
   sim::Rng rto_rng_;            // deterministic jitter stream
 
-  // Adaptive-mode TX state (DESIGN.md §4k). cwnd_pkts_ is fractional so
-  // congestion avoidance can add 1/cwnd per ack; the effective window is
-  // its integer part clamped to [1, window_packets].
+  // Window and estimator state (DESIGN.md §4k). cwnd_pkts_ is fractional
+  // so congestion avoidance can add 1/cwnd per ack; the effective window
+  // is its integer part clamped to [1, window_packets]. In fixed mode it
+  // sits at window_packets for good.
   RttEstimator rtt_;
-  double cwnd_pkts_ = 0.0;
-  int ssthresh_ = 0;
+  double cwnd_pkts_;
+  int ssthresh_;
   // Loss recovery (NewReno-style): an RTO enters recovery and resends a
   // window of the oldest unacked packets; each partial ack (progress short
   // of recover_point_) immediately resends the next window instead of

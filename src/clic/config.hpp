@@ -35,8 +35,8 @@ struct Config {
   sim::SimTime ack_delay = sim::microseconds(50.0);
 
   // Retransmission policy (bounded-failure semantics): consecutive RTO
-  // expiries back off geometrically from `rto` by `rto_backoff` up to
-  // `rto_max`, each armed deadline optionally scaled by a deterministic
+  // expiries back off geometrically from `rto` by `rto_backoff` (fixed
+  // mode; adaptive mode always doubles) up to `rto_max`, each armed deadline optionally scaled by a deterministic
   // jitter of up to ±`rto_jitter` drawn from a per-channel stream of
   // `seed` (so two channels that black-hole together do not retransmit in
   // lockstep, and every run replays byte-identically). Jitter defaults
@@ -53,12 +53,14 @@ struct Config {
 
   // Adaptive reliability mode (DESIGN.md §4k). Off by default: the paper
   // fixes its retransmission clock, and every figure reproduction pins the
-  // fixed-clock schedule byte-for-byte. When on:
+  // fixed-clock schedule byte-for-byte. Both modes share one channel state
+  // machine; `rto_min`, `cwnd_init` and `pacing_gap` take effect only in
+  // adaptive mode, and adaptive mode doubles the RTO per consecutive
+  // expiry regardless of `rto_backoff`. When on:
   //  - an RFC 6298 SRTT/RTTVAR estimator replaces `rto` as the base of the
-  //    backoff ladder (the ladder then doubles per consecutive expiry
-  //    regardless of `rto_backoff`). Karn's rule in both halves:
-  //    retransmitted packets never sample, and a backed-off RTO is retained
-  //    until a never-retransmitted packet is acked;
+  //    backoff ladder. Karn's rule in both halves: retransmitted packets
+  //    never sample, and a backed-off RTO is retained until a
+  //    never-retransmitted packet is acked;
   //  - a slow-start/AIMD congestion window bounds in-flight packets below
   //    `window_packets`: a timeout collapses it to `cwnd_init` (ssthresh =
   //    half) and enters go-back-N loss recovery — the cwnd oldest unacked

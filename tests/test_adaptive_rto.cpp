@@ -139,6 +139,42 @@ TEST(AdaptiveChannel, BackoffDoublesTheMeasuredRto) {
   EXPECT_EQ(ch.current_rto(), sim::microseconds(1200.0));  // 300·2²
 }
 
+TEST(AdaptiveChannel, PaperConfigsKeepTheirLadders) {
+  // adaptive_clic_config inherits rto_backoff = 1.0 from the paper's
+  // fixed clock, yet adaptive mode still doubles the RTO per expiry.
+  FakeOps ops;
+  const Config adaptive = apps::adaptive_clic_config();
+  ASSERT_EQ(adaptive.rto_backoff, 1.0);
+  Channel ach(adaptive, ops, 1);
+  ach.send(data_packet());
+  ops.sim.run_until(sim::milliseconds(10.0));  // expiries at 3, 9 ms
+  EXPECT_EQ(ach.timeouts(), 2u);
+  EXPECT_EQ(ach.current_rto(), 4 * adaptive.rto);
+
+  // The paper's fixed mode keeps a flat clock.
+  FakeOps fops;
+  const Config fixed = apps::paper_clic_config();
+  Channel fch(fixed, fops, 1);
+  fch.send(data_packet());
+  fops.sim.run_until(sim::milliseconds(10.0));  // expiries at 3, 6, 9 ms
+  EXPECT_EQ(fch.timeouts(), 3u);
+  EXPECT_EQ(fch.current_rto(), fixed.rto);
+}
+
+TEST(AdaptiveChannel, OutOfOrderArrivalAcksAtOnce) {
+  FakeOps ops;
+  Config cfg = adaptive_cfg();
+  cfg.ack_every = 100;  // only the gap rule can force the ack
+  Channel ch(cfg, ops, 1);
+  ClicHeader h;
+  h.seq = 1;  // seq 0 is missing
+  h.flags = flags::kFirstFragment | flags::kLastFragment;
+  ch.packet_in(h, {}, net::Buffer::zeros(10));
+  EXPECT_EQ(ch.out_of_order(), 1u);
+  ASSERT_EQ(ops.acks.size(), 1u);
+  EXPECT_EQ(ops.acks[0].ack, 0u);
+}
+
 TEST(AdaptiveChannel, KarnExcludesRetransmittedSamples) {
   FakeOps ops;
   Config cfg = adaptive_cfg();

@@ -114,6 +114,9 @@ TEST(Channel, ReordersOutOfOrderArrivals) {
   arrive(1);
   EXPECT_EQ(ops.delivered.size(), 0u);
   EXPECT_EQ(ch.out_of_order(), 2u);
+  // Fixed mode: a gap is not reported at once; the owed acks wait for
+  // ack_every or the delayed-ack timer like in-order ones.
+  EXPECT_TRUE(ops.acks.empty());
   arrive(0);
   ASSERT_EQ(ops.delivered.size(), 3u);
   EXPECT_EQ(ops.delivered[0].header.seq, 0u);
@@ -149,6 +152,14 @@ TEST(Channel, RetransmitsOldestOnTimeout) {
   EXPECT_EQ(ch.retransmits(), 1u);
   ASSERT_EQ(ops.emitted.size(), 3u);
   EXPECT_EQ(ops.emitted[2].header.seq, 0u);  // oldest unacked
+  // A partial ack after the timeout resends nothing: fixed mode has no
+  // loss-recovery episode, only the clock.
+  ClicHeader ack;
+  ack.flags = flags::kPureAck;
+  ack.ack = 1;
+  ch.packet_in(ack, {}, net::Buffer::zeros(0));
+  EXPECT_EQ(ops.emitted.size(), 3u);
+  EXPECT_EQ(ch.retransmits(), 1u);
 }
 
 TEST(Channel, AckCancelsRetransmitTimer) {

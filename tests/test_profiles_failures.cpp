@@ -19,6 +19,10 @@ struct ProfileCase {
   std::int64_t mtu;
 };
 
+// Without this, gtest prints the raw bytes of the case, pointers included,
+// so the listed test names would change with every address-space layout.
+void PrintTo(const ProfileCase& pc, std::ostream* os) { *os << pc.name; }
+
 class NicProfiles : public ::testing::TestWithParam<ProfileCase> {};
 
 TEST_P(NicProfiles, ClicRunsSanelyOnEveryCard) {
