@@ -13,9 +13,8 @@ struct BondRow {
   unsigned long long reordered = 0;
 };
 
-BondRow bond_point(bool fast_ethernet, int nics, int shards) {
+BondRow bond_point(bool fast_ethernet, int nics) {
   apps::Scenario s;
-  s.cluster.shards = shards;
   s.cluster.nics_per_node = nics;
   s.clic.channel_bonding = nics > 1;
   if (fast_ethernet) {
@@ -61,15 +60,16 @@ BondRow bond_point(bool fast_ethernet, int nics, int shards) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = apps::parse_sweep_args(argc, argv);
+  int jobs = 0;
+  apps::parse_args(argc, argv, {apps::jobs_flag(jobs)});
   bench::heading("Ablation — channel bonding (several NICs per node)");
 
   // 2 media x 4 NIC counts, one cluster each.
-  apps::SweepRunner<BondRow> runner(opt);
+  apps::SweepRunner<BondRow> runner(jobs);
   for (const bool fast_ethernet : {true, false}) {
     for (int nics = 1; nics <= 4; ++nics) {
-      runner.add([fast_ethernet, nics, shards = opt.shards] {
-        return bond_point(fast_ethernet, nics, shards);
+      runner.add([fast_ethernet, nics] {
+        return bond_point(fast_ethernet, nics);
       });
     }
   }

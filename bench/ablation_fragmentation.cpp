@@ -8,7 +8,8 @@
 using namespace clicsim;
 
 int main(int argc, char** argv) {
-  const auto opt = apps::parse_sweep_args(argc, argv);
+  int jobs = 0;
+  apps::parse_args(argc, argv, {apps::jobs_flag(jobs)});
   bench::heading("Ablation — on-NIC fragmentation (paper's future work)");
 
   std::printf("  %-34s %10s %12s %12s %12s\n", "configuration", "Mb/s",
@@ -21,10 +22,9 @@ int main(int argc, char** argv) {
   const Cell cells[] = {
       {false, 1500}, {true, 1500}, {false, 9000}, {true, 9000}};
 
-  apps::SweepRunner<apps::StreamStats> runner(opt);
+  apps::SweepRunner<apps::StreamStats> runner(jobs);
   for (const auto& cell : cells) {
     apps::Scenario s;
-    s.cluster.shards = opt.shards;
     s.cluster.nic = hw::NicProfile::ga620();
     s.mtu = cell.mtu;
     s.clic.use_nic_fragmentation = cell.frag;

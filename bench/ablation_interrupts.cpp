@@ -11,11 +11,11 @@
 using namespace clicsim;
 
 int main(int argc, char** argv) {
-  const auto opt = apps::parse_sweep_args(argc, argv);
+  int jobs = 0;
+  apps::parse_args(argc, argv, {apps::jobs_flag(jobs)});
   bench::heading("Ablation — interrupt rate and coalescing (section 2)");
 
   apps::Scenario s;
-  s.cluster.shards = opt.shards;
   s.mtu = 1500;
 
   struct Point {
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   // All simulations of the ablation as one job FIFO: the coalescing sweep,
   // the idle-latency point, and the two TCP streams.
-  apps::SweepRunner<apps::StreamStats> runner(opt);
+  apps::SweepRunner<apps::StreamStats> runner(jobs);
   for (const auto& p : points) {
     apps::Scenario v = s;
     v.cluster.nic.coalesce_frames = p.frames;

@@ -8,7 +8,8 @@
 using namespace clicsim;
 
 int main(int argc, char** argv) {
-  const auto opt = apps::parse_sweep_args(argc, argv);
+  int jobs = 0;
+  apps::parse_args(argc, argv, {apps::jobs_flag(jobs)});
   bench::heading("Ablation — Figure 1 data paths");
 
   struct Row {
@@ -24,11 +25,10 @@ int main(int argc, char** argv) {
   const std::int64_t mtus[] = {9000, 1500};
 
   // 2 MTUs x 4 paths, one stream simulation per cell.
-  apps::SweepRunner<apps::StreamStats> runner(opt);
+  apps::SweepRunner<apps::StreamStats> runner(jobs);
   for (const std::int64_t mtu : mtus) {
     for (const auto& row : rows) {
       apps::Scenario s;
-      s.cluster.shards = opt.shards;
       s.mtu = mtu;
       s.clic.tx_path = row.path;
       runner.add(

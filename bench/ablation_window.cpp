@@ -9,9 +9,8 @@ using namespace clicsim;
 namespace {
 
 std::function<double()> run_job(int window, int ack_every,
-                                double ack_delay_us, int shards) {
+                                double ack_delay_us) {
   apps::Scenario s;
-  s.cluster.shards = shards;
   s.mtu = 1500;
   s.clic.window_packets = window;
   s.clic.ack_every = ack_every;
@@ -22,19 +21,20 @@ std::function<double()> run_job(int window, int ack_every,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = apps::parse_sweep_args(argc, argv);
+  int jobs = 0;
+  apps::parse_args(argc, argv, {apps::jobs_flag(jobs)});
   bench::heading("Ablation — CLIC channel window and ack policy (MTU 1500)");
 
   const int windows[] = {1, 2, 4, 8, 16, 32, 64, 128};
   const std::pair<int, double> acks[] = {{1, 0},    {2, 25},   {4, 50},
                                          {8, 100},  {16, 200}, {32, 400}};
 
-  apps::SweepRunner<double> runner(opt);
-  for (int w : windows) runner.add(run_job(w, 4, 50, opt.shards));
+  apps::SweepRunner<double> runner(jobs);
+  for (int w : windows) runner.add(run_job(w, 4, 50));
   for (const auto& [every, delay] : acks) {
-    runner.add(run_job(64, every, delay, opt.shards));
+    runner.add(run_job(64, every, delay));
   }
-  runner.add(run_job(128, 4, 50, opt.shards));  // saturation check
+  runner.add(run_job(128, 4, 50));  // saturation check
   const auto rows = runner.run();
 
   bench::subheading("window size (ack_every=4, ack_delay=50us)");

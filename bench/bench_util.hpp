@@ -1,16 +1,16 @@
 // Shared helpers for the figure/table reproduction binaries: table
-// printing, PAPER vs MEASURED summaries, and the common --shards flag
-// family the scaling benches accept.
+// printing, PAPER vs MEASURED summaries, and the shard-engine counters the
+// two scaling benches (pdes_scale, collective_scale) print.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "apps/command_line.hpp"
 #include "apps/sweep.hpp"
 #include "apps/workloads.hpp"
 #include "net/buffer_pool.hpp"
@@ -18,80 +18,6 @@
 #include "sim/stats.hpp"
 
 namespace clicsim::bench {
-
-// ---- shared --shards / -j argument family ------------------------------
-//
-// pdes_scale and collective_scale used to re-parse these independently
-// (drifting flags and clamp ranges); both now consume them here so the
-// spellings, the [1, 4096] clamp and the help text stay consistent.
-
-struct ShardArgs {
-  int shards = 1;
-  bool stats = false;  // --shard-stats: engine counters to stderr
-};
-
-// Help block matching exactly what consume_shard_arg() accepts.
-inline constexpr const char* kShardArgsHelp =
-    "  --shards N     PDES worker shards for each scenario (default 1;\n"
-    "                 stdout is byte-identical at any shard count)\n"
-    "  --shard-stats  print engine coordination counters (windows,\n"
-    "                 barrier waits, cross-shard posts, COW payload\n"
-    "                 mints) to stderr after the run\n"
-    "  -j N           accepted for script compatibility; these binaries\n"
-    "                 run one scenario at a time\n";
-
-// Parses decimal `text` into [lo, hi]; false on malformed/out-of-range
-// (callers turn that into their own usage() exit).
-inline bool parse_long_in(const char* text, long lo, long hi, long& out) {
-  char* end = nullptr;
-  const long n = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || n < lo || n > hi) return false;
-  out = n;
-  return true;
-}
-
-enum class ArgOutcome {
-  kNotMine,   // argv[i] is some other flag: caller handles it
-  kConsumed,  // flag (and any separate value) consumed; i advanced
-  kBad,       // matched one of ours but the value is malformed
-};
-
-inline ArgOutcome consume_shard_arg(ShardArgs& out, int argc, char** argv,
-                                    int& i) {
-  const char* arg = argv[i];
-  auto value = [&]() -> const char* {
-    return i + 1 < argc ? argv[++i] : nullptr;
-  };
-  auto ok = [&](const char* text, long lo, long hi, long& v) {
-    return text != nullptr && parse_long_in(text, lo, hi, v);
-  };
-  long v = 0;
-  if (std::strcmp(arg, "--shards") == 0) {
-    if (!ok(value(), 1, 4096, v)) return ArgOutcome::kBad;
-    out.shards = static_cast<int>(v);
-    return ArgOutcome::kConsumed;
-  }
-  if (std::strncmp(arg, "--shards=", 9) == 0) {
-    if (!ok(arg + 9, 1, 4096, v)) return ArgOutcome::kBad;
-    out.shards = static_cast<int>(v);
-    return ArgOutcome::kConsumed;
-  }
-  if (std::strcmp(arg, "--shard-stats") == 0) {
-    out.stats = true;
-    return ArgOutcome::kConsumed;
-  }
-  // -j/--jobs: validated and discarded (one scenario per run).
-  if (std::strcmp(arg, "-j") == 0 || std::strcmp(arg, "--jobs") == 0) {
-    return ok(value(), 1, 4096, v) ? ArgOutcome::kConsumed : ArgOutcome::kBad;
-  }
-  if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-    return ok(arg + 2, 1, 4096, v) ? ArgOutcome::kConsumed : ArgOutcome::kBad;
-  }
-  if (std::strncmp(arg, "--jobs=", 7) == 0) {
-    return ok(arg + 7, 1, 4096, v) ? ArgOutcome::kConsumed : ArgOutcome::kBad;
-  }
-  return ArgOutcome::kNotMine;
-}
 
 // Accumulates ShardGroup coordination counters across beds (a bench may
 // build several) plus the process-wide COW payload accounting; printed to

@@ -19,13 +19,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/testbed.hpp"
 #include "bench/bench_util.hpp"
+#include "sim/random.hpp"
 #include "sim/task.hpp"
 
 using namespace clicsim;
@@ -33,42 +33,23 @@ using namespace clicsim;
 namespace {
 
 struct Options {
-  bench::ShardArgs shard;
+  int shards = 1;
+  bool shard_stats = false;
   std::vector<int> nodes_list = {128, 512, 1024};
   std::int64_t bytes = 1024;  // bcast/allreduce payload (one wire MTU max)
   int tcp_max = 128;          // largest rank count for the tcp-host rows
 };
 
-[[noreturn]] void usage(const char* prog, int code) {
-  std::FILE* out = code == 0 ? stdout : stderr;
-  std::fprintf(out,
-               "usage: %s [--shards N] [--shard-stats] [--nodes N[,N...]]"
-               " [--bytes N] [--tcp-max N] [-j N]\n"
-               "%s"
-               "  --nodes L      comma-separated rank counts\n"
-               "                 (default 128,512,1024)\n"
-               "  --bytes N      bcast/allreduce payload bytes"
-               " (default 1024)\n"
-               "  --tcp-max N    skip tcp-host rows above N ranks\n"
-               "                 (default 128)\n",
-               prog, bench::kShardArgsHelp);
-  std::exit(code);
-}
-
-long parse_long(const char* prog, const char* text, long lo, long hi) {
-  long n = 0;
-  if (!bench::parse_long_in(text, lo, hi, n)) usage(prog, 2);
-  return n;
-}
-
-std::vector<int> parse_list(const char* prog, const char* text) {
-  std::vector<int> out;
+// Comma-separated rank counts in [2, 4096]; empty items are skipped.
+bool parse_list(const char* text, std::vector<int>& out) {
+  std::vector<int> list;
   std::string item;
   for (const char* p = text;; ++p) {
     if (*p == ',' || *p == '\0') {
       if (!item.empty()) {
-        out.push_back(
-            static_cast<int>(parse_long(prog, item.c_str(), 2, 4096)));
+        int n = 0;
+        if (!apps::parse_int(item.c_str(), 2, 4096, n)) return false;
+        list.push_back(n);
         item.clear();
       }
       if (*p == '\0') break;
@@ -76,50 +57,32 @@ std::vector<int> parse_list(const char* prog, const char* text) {
       item.push_back(*p);
     }
   }
-  if (out.empty()) usage(prog, 2);
-  return out;
+  if (list.empty()) return false;
+  out = std::move(list);
+  return true;
 }
 
-Options parse_args(int argc, char** argv) {
+Options parse_options(int argc, char** argv) {
   Options o;
-  const char* prog = argc > 0 ? argv[0] : "collective_scale";
-  auto value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage(prog, 2);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    switch (bench::consume_shard_arg(o.shard, argc, argv, i)) {
-      case bench::ArgOutcome::kConsumed:
-        continue;
-      case bench::ArgOutcome::kBad:
-        usage(prog, 2);
-      case bench::ArgOutcome::kNotMine:
-        break;
-    }
-    if (std::strcmp(arg, "-h") == 0 || std::strcmp(arg, "--help") == 0) {
-      usage(prog, 0);
-    } else if (std::strcmp(arg, "--nodes") == 0) {
-      o.nodes_list = parse_list(prog, value(i));
-    } else if (std::strcmp(arg, "--bytes") == 0) {
-      o.bytes = parse_long(prog, value(i), 1, 1400);
-    } else if (std::strcmp(arg, "--tcp-max") == 0) {
-      o.tcp_max = static_cast<int>(parse_long(prog, value(i), 0, 4096));
-    } else {
-      usage(prog, 2);
-    }
-  }
+  apps::parse_args(
+      argc, argv,
+      {apps::int_flag("--shards",
+                      "PDES shards (default 1; stdout is identical at any"
+                      " count)",
+                      1, 4096, o.shards),
+       apps::bool_flag("--shard-stats",
+                       "print engine coordination counters to stderr",
+                       o.shard_stats),
+       {"--nodes", "", "L",
+        "comma-separated rank counts (default 128,512,1024)",
+        [&o](const char* text) { return parse_list(text, o.nodes_list); }},
+       apps::int_flag("--bytes",
+                      "bcast/allreduce payload bytes (default 1024)", 1,
+                      1400, o.bytes),
+       apps::int_flag("--tcp-max",
+                      "skip tcp-host rows above N ranks (default 128)", 0,
+                      4096, o.tcp_max)});
   return o;
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= kFnvPrime;
-  }
 }
 
 // Per-op latencies of one (nodes, stack) cell, in simulated time.
@@ -258,32 +221,32 @@ void print_row(std::uint64_t& digest, int nodes, const char* stack,
       " allreduce_us=%.3f\n",
       nodes, stack, sim::to_us(cell.barrier), sim::to_us(cell.bcast),
       sim::to_us(cell.allreduce));
-  fnv(digest, static_cast<std::uint64_t>(nodes));
-  fnv(digest, static_cast<std::uint64_t>(cell.barrier));
-  fnv(digest, static_cast<std::uint64_t>(cell.bcast));
-  fnv(digest, static_cast<std::uint64_t>(cell.allreduce));
+  sim::fnv1a(digest, static_cast<std::uint64_t>(nodes));
+  sim::fnv1a(digest, static_cast<std::uint64_t>(cell.barrier));
+  sim::fnv1a(digest, static_cast<std::uint64_t>(cell.bcast));
+  sim::fnv1a(digest, static_cast<std::uint64_t>(cell.allreduce));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse_args(argc, argv);
+  const Options o = parse_options(argc, argv);
   const auto wall_start = std::chrono::steady_clock::now();
 
   std::printf("collective_scale topology=fat-tree bytes=%lld\n",
               static_cast<long long>(o.bytes));
-  std::uint64_t digest = kFnvOffset;
+  std::uint64_t digest = sim::kDigestSeed;
   bool all_complete = true;
   bench::ShardStats stats;
-  bench::ShardStats* stats_ptr = o.shard.stats ? &stats : nullptr;
+  bench::ShardStats* stats_ptr = o.shard_stats ? &stats : nullptr;
   for (const int n : o.nodes_list) {
     const Cell host =
-        run_clic_cell(n, o.shard.shards, o.bytes, false, stats_ptr);
+        run_clic_cell(n, o.shards, o.bytes, false, stats_ptr);
     print_row(digest, n, "clic-host", host);
     all_complete = all_complete && host.complete;
 
     const Cell nic =
-        run_clic_cell(n, o.shard.shards, o.bytes, true, stats_ptr);
+        run_clic_cell(n, o.shards, o.bytes, true, stats_ptr);
     print_row(digest, n, "clic-nic", nic);
     all_complete = all_complete && nic.complete;
 
@@ -303,7 +266,7 @@ int main(int argc, char** argv) {
                              std::chrono::steady_clock::now() - wall_start)
                              .count();
   std::fprintf(stderr, "collective_scale: shards=%d wall_ms=%.1f\n",
-               o.shard.shards, wall_ms);
-  if (o.shard.stats) stats.print("collective_scale", o.shard.shards);
+               o.shards, wall_ms);
+  if (o.shard_stats) stats.print("collective_scale", o.shards);
   return all_complete ? 0 : 1;
 }

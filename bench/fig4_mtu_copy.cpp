@@ -6,12 +6,12 @@
 using namespace clicsim;
 
 int main(int argc, char** argv) {
-  const auto opt = apps::parse_sweep_args(argc, argv);
+  int jobs = 0;
+  apps::parse_args(argc, argv, {apps::jobs_flag(jobs)});
   bench::heading(
       "Figure 4 — CLIC bandwidth: MTU 9000/1500 x 0-copy/1-copy");
 
   apps::Scenario s;
-  s.cluster.shards = opt.shards;
   s.pingpong_reps = 3;
   const auto sizes = apps::sweep_sizes(16, 8 * 1024 * 1024, 3);
 
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   const auto curves = apps::bandwidth_series_set(
       {spec(9000, clic::TxPath::kZeroCopy), spec(1500, clic::TxPath::kZeroCopy),
        spec(9000, clic::TxPath::kOneCopy), spec(1500, clic::TxPath::kOneCopy)},
-      sizes, opt);
+      sizes, jobs);
   const auto& s0c9000 = curves[0];
   const auto& s0c1500 = curves[1];
   const auto& s1c9000 = curves[2];

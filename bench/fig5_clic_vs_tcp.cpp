@@ -6,11 +6,11 @@
 using namespace clicsim;
 
 int main(int argc, char** argv) {
-  const auto opt = apps::parse_sweep_args(argc, argv);
+  int jobs = 0;
+  apps::parse_args(argc, argv, {apps::jobs_flag(jobs)});
   bench::heading("Figure 5 — CLIC vs TCP/IP, MTU 9000 and 1500");
 
   apps::Scenario s;
-  s.cluster.shards = opt.shards;
   s.pingpong_reps = 3;
   const auto sizes = apps::sweep_sizes(16, 8 * 1024 * 1024, 3);
 
@@ -31,13 +31,13 @@ int main(int argc, char** argv) {
 
   const auto curves = apps::bandwidth_series_set(
       {clic_at(9000), clic_at(1500), tcp_at(9000), tcp_at(1500)}, sizes,
-      opt);
+      jobs);
   const auto& clic9000 = curves[0];
   const auto& clic1500 = curves[1];
   const auto& tcp9000 = curves[2];
   const auto& tcp1500 = curves[3];
 
-  apps::SweepRunner<sim::SimTime> extra(opt);
+  apps::SweepRunner<sim::SimTime> extra(jobs);
   extra.add([&s] { return apps::clic_one_way(s, 0); });
   const double zero_byte_us = sim::to_us(extra.run()[0]);
 

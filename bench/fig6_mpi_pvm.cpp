@@ -6,11 +6,11 @@
 using namespace clicsim;
 
 int main(int argc, char** argv) {
-  const auto opt = apps::parse_sweep_args(argc, argv);
+  int jobs = 0;
+  apps::parse_args(argc, argv, {apps::jobs_flag(jobs)});
   bench::heading("Figure 6 — CLIC, MPI-CLIC, MPI-TCP, PVM-TCP");
 
   apps::Scenario s;
-  s.cluster.shards = opt.shards;
   s.pingpong_reps = 3;
   const auto sizes = apps::sweep_sizes(16, 8 * 1024 * 1024, 3);
 
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
         [s](std::int64_t n) { return apps::mpi_tcp_one_way(s, n); }},
        {"pvm-tcp",
         [s](std::int64_t n) { return apps::pvm_one_way(s, n); }}},
-      sizes, opt);
+      sizes, jobs);
   const auto& clic = curves[0];
   const auto& mpi_clic = curves[1];
   const auto& mpi_tcp = curves[2];

@@ -89,12 +89,12 @@ void print_stages(const char* title, const Stages& st) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = apps::parse_sweep_args(argc, argv);
+  int jobs = 0;
+  apps::parse_args(argc, argv, {apps::jobs_flag(jobs)});
   bench::heading("Figure 7 — 1400-byte packet pipeline timing");
   const std::int64_t kPayload = 1400;
 
   apps::Scenario stock;
-  stock.cluster.shards = opt.shards;
   stock.pingpong_reps = 8;
   apps::Scenario improved = stock;
   improved.clic.direct_dispatch = true;
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   print_stages("(a) stock receive path (model constants)", a);
   print_stages("(b) direct driver->module dispatch (Figure 8b)", b);
 
-  apps::SweepRunner<sim::SimTime> runner(opt);
+  apps::SweepRunner<sim::SimTime> runner(jobs);
   runner.add([&] { return apps::clic_one_way(stock, kPayload); });
   runner.add([&] { return apps::clic_one_way(improved, kPayload); });
   const auto measured = runner.run();

@@ -15,12 +15,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "apps/testbed.hpp"
 #include "bench/bench_util.hpp"
+#include "sim/random.hpp"
 #include "sim/task.hpp"
 
 using namespace clicsim;
@@ -28,95 +28,48 @@ using namespace clicsim;
 namespace {
 
 struct Options {
-  bench::ShardArgs shard;
+  int shards = 1;
+  bool shard_stats = false;
   int nodes = 64;
   int messages = 48;          // confirmed sends per node
   std::int64_t bytes = 4096;  // payload per message
-  const char* topology = "single-star";
-  os::TopologySpec spec;
+  std::string topology = "single-star";
 };
 
-[[noreturn]] void usage(const char* prog, int code) {
-  std::FILE* out = code == 0 ? stdout : stderr;
-  std::fprintf(out,
-               "usage: %s [--shards N] [--shard-stats] [--nodes N]"
-               " [--messages N] [--bytes N] [-j N]\n"
-               "%s"
-               "  --nodes N      cluster size (default 64)\n"
-               "  --messages N   confirmed sends per node (default 48)\n"
-               "  --bytes N      payload bytes per message (default 4096)\n"
-               "  --topology T   fabric shape: single-star (default),\n"
-               "                 leaf-spine, ring, or fat-tree (multi-tier\n"
-               "                 shapes shard leaf-locally)\n",
-               prog, bench::kShardArgsHelp);
-  std::exit(code);
-}
-
-long parse_long(const char* prog, const char* text, long lo, long hi) {
-  long n = 0;
-  if (!bench::parse_long_in(text, lo, hi, n)) usage(prog, 2);
-  return n;
-}
-
-os::TopologySpec parse_topology(const char* prog, const char* text) {
-  if (std::strcmp(text, "single-star") == 0) {
-    return os::TopologySpec::single_star();
-  }
-  if (std::strcmp(text, "leaf-spine") == 0) {
-    return os::TopologySpec::leaf_spine(0);  // derived leaves, one spine
-  }
-  if (std::strcmp(text, "ring") == 0) {
-    return os::TopologySpec::switch_ring(0);  // derived member count
-  }
-  if (std::strcmp(text, "fat-tree") == 0) {
-    return os::TopologySpec::fat_tree();
-  }
-  usage(prog, 2);
-}
-
-Options parse_args(int argc, char** argv) {
+Options parse_options(int argc, char** argv) {
   Options o;
-  const char* prog = argc > 0 ? argv[0] : "pdes_scale";
-  auto value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage(prog, 2);
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    switch (bench::consume_shard_arg(o.shard, argc, argv, i)) {
-      case bench::ArgOutcome::kConsumed:
-        continue;
-      case bench::ArgOutcome::kBad:
-        usage(prog, 2);
-      case bench::ArgOutcome::kNotMine:
-        break;
-    }
-    if (std::strcmp(arg, "-h") == 0 || std::strcmp(arg, "--help") == 0) {
-      usage(prog, 0);
-    } else if (std::strcmp(arg, "--nodes") == 0) {
-      o.nodes = static_cast<int>(parse_long(prog, value(i), 2, 4096));
-    } else if (std::strcmp(arg, "--messages") == 0) {
-      o.messages = static_cast<int>(parse_long(prog, value(i), 1, 1 << 20));
-    } else if (std::strcmp(arg, "--bytes") == 0) {
-      o.bytes = parse_long(prog, value(i), 1, 16 << 20);
-    } else if (std::strcmp(arg, "--topology") == 0) {
-      o.topology = value(i);
-      o.spec = parse_topology(prog, o.topology);
-    } else {
-      usage(prog, 2);
-    }
-  }
+  apps::parse_args(
+      argc, argv,
+      {apps::int_flag("--shards",
+                      "PDES shards (default 1; stdout is identical at any"
+                      " count)",
+                      1, 4096, o.shards),
+       apps::bool_flag("--shard-stats",
+                       "print engine coordination counters to stderr",
+                       o.shard_stats),
+       apps::int_flag("--nodes", "cluster size (default 64)", 2, 4096,
+                      o.nodes),
+       apps::int_flag("--messages", "confirmed sends per node (default 48)",
+                      1, 1 << 20, o.messages),
+       apps::int_flag("--bytes", "payload bytes per message (default 4096)",
+                      1, 16 << 20, o.bytes),
+       apps::enum_flag("--topology",
+                       {"single-star", "leaf-spine", "ring", "fat-tree"},
+                       "fabric shape (default single-star; multi-tier"
+                       " ones shard by leaf)",
+                       o.topology)});
   return o;
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= kFnvPrime;
+os::TopologySpec topology_spec(const std::string& name) {
+  if (name == "leaf-spine") {
+    return os::TopologySpec::leaf_spine(0);  // derived leaves, one spine
   }
+  if (name == "ring") {
+    return os::TopologySpec::switch_ring(0);  // derived member count
+  }
+  if (name == "fat-tree") return os::TopologySpec::fat_tree();
+  return os::TopologySpec::single_star();
 }
 
 struct NodeCounters {
@@ -162,12 +115,12 @@ struct Drive {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options o = parse_args(argc, argv);
+  const Options o = parse_options(argc, argv);
 
   os::ClusterConfig cc;
   cc.nodes = o.nodes;
-  cc.shards = o.shard.shards;
-  cc.topology = o.spec;
+  cc.shards = o.shards;
+  cc.topology = topology_spec(o.topology);
   apps::ClicBed bed(cc);
 
   const int port = 101;  // CLIC wire ports are 8-bit
@@ -192,25 +145,25 @@ int main(int argc, char** argv) {
   bed.run();
   const auto wall_end = std::chrono::steady_clock::now();
 
-  std::uint64_t digest = kFnvOffset;
+  std::uint64_t digest = sim::kDigestSeed;
   int delivered = 0;
   int failures = 0;
   for (int n = 0; n < o.nodes; ++n) {
     const NodeCounters& c = counters[static_cast<std::size_t>(n)];
-    fnv(digest, static_cast<std::uint64_t>(n));
-    fnv(digest, static_cast<std::uint64_t>(c.sent_ok));
-    fnv(digest, static_cast<std::uint64_t>(c.sent_failed));
-    fnv(digest, static_cast<std::uint64_t>(c.received));
-    fnv(digest, static_cast<std::uint64_t>(c.corrupt));
+    sim::fnv1a(digest, static_cast<std::uint64_t>(n));
+    sim::fnv1a(digest, static_cast<std::uint64_t>(c.sent_ok));
+    sim::fnv1a(digest, static_cast<std::uint64_t>(c.sent_failed));
+    sim::fnv1a(digest, static_cast<std::uint64_t>(c.received));
+    sim::fnv1a(digest, static_cast<std::uint64_t>(c.corrupt));
     delivered += c.received;
     failures += c.sent_failed + c.corrupt;
   }
-  fnv(digest, bed.events_executed());
-  fnv(digest, static_cast<std::uint64_t>(bed.now()));
+  sim::fnv1a(digest, bed.events_executed());
+  sim::fnv1a(digest, static_cast<std::uint64_t>(bed.now()));
 
   std::printf("pdes_scale nodes=%d messages=%d bytes=%lld topology=%s\n",
               o.nodes, o.messages, static_cast<long long>(o.bytes),
-              o.topology);
+              o.topology.c_str());
   std::printf("  delivered %d/%d  failures %d\n", delivered,
               o.nodes * o.messages, failures);
   std::printf("  events %llu  finished_at_us %.3f\n",
@@ -223,11 +176,11 @@ int main(int argc, char** argv) {
       std::chrono::duration<double, std::milli>(wall_end - wall_start)
           .count();
   std::fprintf(stderr, "pdes_scale: shards=%d wall_ms=%.1f\n",
-               o.shard.shards, wall_ms);
-  if (o.shard.stats) {
+               o.shards, wall_ms);
+  if (o.shard_stats) {
     bench::ShardStats stats;
     stats.absorb(bed.shards);
-    stats.print("pdes_scale", o.shard.shards);
+    stats.print("pdes_scale", o.shards);
   }
   return delivered == o.nodes * o.messages && failures == 0 ? 0 : 1;
 }

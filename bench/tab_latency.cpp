@@ -7,11 +7,11 @@
 using namespace clicsim;
 
 int main(int argc, char** argv) {
-  const auto opt = apps::parse_sweep_args(argc, argv);
+  int jobs = 0;
+  apps::parse_args(argc, argv, {apps::jobs_flag(jobs)});
   bench::heading("Headline table — latency / bandwidth / comparisons");
 
   apps::Scenario s;
-  s.cluster.shards = opt.shards;
   s.pingpong_reps = 3;
 
   apps::Scenario s1500 = s;
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   // Every measurement is one self-contained simulation; all of them share
   // the worker pool and come back slotted in order.
-  apps::SweepRunner<double> runner(opt);
+  apps::SweepRunner<double> runner(jobs);
   runner.add([s] { return sim::to_us(apps::clic_one_way(s, 0)); });
   runner.add([s] { return sim::to_us(apps::tcp_one_way(s, 1)); });
   runner.add(

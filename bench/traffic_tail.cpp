@@ -9,11 +9,11 @@
 // SweepRunner/ShardGroup telemetry folds do.
 //
 // stdout is fully deterministic: arrivals are precomputed from per-client
-// seeded streams, so rows and digests are byte-identical at any `-j` and
-// any `--shards`. Wall-clock goes to stderr. Exit status is
-// bench::exit_code(): a violated claim (lost requests, deadline misses on
-// a clean link, broken quantile ordering, inexact merge) fails the binary,
-// and CI compares the rows across -j and --shards as regression gates.
+// seeded streams, so rows and digests are byte-identical at any `-j`.
+// Wall-clock goes to stderr. Exit status is bench::exit_code(): a violated
+// claim (lost requests, deadline misses on a clean link, broken quantile
+// ordering, inexact merge) fails the binary, and CI compares the rows
+// across -j as a regression gate.
 //
 // `--adaptive` appends three more RPC cells running the repaired stack
 // (adaptive_clic_config, column "clic-a"; DESIGN.md §4k) and gates the
@@ -43,12 +43,6 @@ struct Row {
   apps::RpcResult rpc;
   apps::StreamingResult strm;
 };
-
-apps::Scenario scenario(int shards) {
-  apps::Scenario s;
-  s.cluster.shards = shards;
-  return s;
-}
 
 apps::RpcConfig rpc_config(apps::ArrivalSpec::Process process) {
   apps::RpcConfig cfg;
@@ -99,20 +93,14 @@ void print_rpc_row(const std::string& name, const std::string& stack,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --adaptive is ours; everything else goes to the sweep parser (which
-  // exits on unknown arguments).
+  int jobs = 0;
   bool adaptive = false;
-  std::vector<char*> sweep_argv;
-  sweep_argv.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--adaptive") {
-      adaptive = true;
-      continue;
-    }
-    sweep_argv.push_back(argv[i]);
-  }
-  const apps::SweepOptions opts = apps::parse_sweep_args(
-      static_cast<int>(sweep_argv.size()), sweep_argv.data());
+  apps::parse_args(
+      argc, argv,
+      {apps::jobs_flag(jobs),
+       apps::bool_flag("--adaptive",
+                       "append the adaptive-CLIC (clic-a) cells and claims",
+                       adaptive)});
 
   struct Cell {
     std::string name;
@@ -138,14 +126,14 @@ int main(int argc, char** argv) {
 
   const auto wall_start = std::chrono::steady_clock::now();
 
-  apps::SweepRunner<Row> runner(opts);
-  auto add_rpc_cell = [&opts, &runner](const Cell& cell) {
-    runner.add([&opts, cell] {
+  apps::SweepRunner<Row> runner(jobs);
+  auto add_rpc_cell = [&runner](const Cell& cell) {
+    runner.add([cell] {
       Row row;
       row.name = cell.name;
       row.stack = cell.stack;
       const apps::RpcConfig cfg = rpc_config(cell.process);
-      apps::Scenario s = scenario(opts.shards);
+      apps::Scenario s;
       if (cell.adaptive) s.clic = apps::adaptive_clic_config();
       row.rpc =
           cell.stack == "tcp" ? rpc_tcp(s, cfg) : rpc_clic(s, cfg);
@@ -154,15 +142,15 @@ int main(int argc, char** argv) {
   };
   for (const auto& cell : rpc_cells) add_rpc_cell(cell);
   for (const std::string stack : {"clic", "tcp"}) {
-    runner.add([&opts, stack] {
+    runner.add([stack] {
       Row row;
       row.name = "streaming";
       row.stack = stack;
       row.is_stream = true;
       const apps::StreamingConfig cfg = stream_config();
       row.strm = stack == "clic"
-                     ? apps::streaming_clic(scenario(opts.shards), cfg)
-                     : apps::streaming_tcp(scenario(opts.shards), cfg);
+                     ? apps::streaming_clic(apps::Scenario{}, cfg)
+                     : apps::streaming_tcp(apps::Scenario{}, cfg);
       return row;
     });
   }
@@ -172,12 +160,12 @@ int main(int argc, char** argv) {
   const std::vector<Row> rows = runner.run();
 
   const auto wall_end = std::chrono::steady_clock::now();
-  std::fprintf(stderr, "traffic_tail: wall %lld ms (-j %d, --shards %d)\n",
+  std::fprintf(stderr, "traffic_tail: wall %lld ms (-j %d)\n",
                static_cast<long long>(
                    std::chrono::duration_cast<std::chrono::milliseconds>(
                        wall_end - wall_start)
                        .count()),
-               opts.jobs, opts.shards);
+               jobs);
 
   bench::heading("Open-loop traffic: tail latency, CLIC vs TCP");
   std::printf("  %-14s %-5s %7s %10s %10s %10s %7s  %s\n", "workload",

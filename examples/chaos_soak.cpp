@@ -4,53 +4,46 @@
 //   ./chaos_soak                       # seeds 1..4, both stacks
 //   ./chaos_soak 7                     # one seed, both stacks
 //   ./chaos_soak 7 clic                # one seed, one stack
-//   ./chaos_soak --shards 4 7 clic     # same campaign, 4 PDES shards
 //   ./chaos_soak --adaptive 7 clic     # adaptive reliability mode (§4k)
 //
 // Every line is deterministic for a given seed — a failing CI campaign is
-// reproduced by passing the seed it printed — and is byte-identical at any
-// --shards value. Without --adaptive the output is byte-identical to the
-// fixed-clock harness.
+// reproduced by passing the seed it printed. Without --adaptive the output
+// is byte-identical to the fixed-clock harness. A malformed seed or stack
+// prints the usage and exits 2.
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "apps/chaos.hpp"
+#include "apps/command_line.hpp"
 
 int main(int argc, char** argv) {
   using namespace clicsim;
 
-  int shards = 1;
   bool adaptive = false;
-  bool parsing_flags = true;
-  while (parsing_flags && argc > 1) {
-    const std::string flag = argv[1];
-    if (flag == "--shards" && argc > 2) {
-      shards = std::atoi(argv[2]);
-      if (shards < 1) {
-        std::cerr << "chaos_soak: --shards needs a positive count\n";
-        return 2;
-      }
-      argv += 2;
-      argc -= 2;
-    } else if (flag == "--adaptive") {
-      adaptive = true;
-      argv += 1;
-      argc -= 1;
-    } else {
-      parsing_flags = false;
-    }
-  }
-
   std::vector<std::uint64_t> seeds = {1, 2, 3, 4};
-  if (argc > 1) seeds = {std::strtoull(argv[1], nullptr, 10)};
+  std::string only_stack;  // empty: both stacks
+  apps::parse_args(
+      argc, argv,
+      {apps::bool_flag("--adaptive", "adaptive CLIC reliability mode",
+                       adaptive),
+       {"seed", "", "", "replay one campaign seed (default: seeds 1..4)",
+        [&seeds](const char* text) {
+          seeds.assign(1, 0);
+          return apps::parse_int(text, std::uint64_t{0},
+                                 std::numeric_limits<std::uint64_t>::max(),
+                                 seeds[0]);
+        }},
+       apps::enum_flag("stack", {"clic", "tcp"},
+                       "replay one stack (default: both)", only_stack)});
+
   std::vector<apps::ChaosStack> stacks = {apps::ChaosStack::kClic,
                                           apps::ChaosStack::kTcp};
-  if (argc > 2) {
-    stacks = {std::string(argv[2]) == "tcp" ? apps::ChaosStack::kTcp
-                                            : apps::ChaosStack::kClic};
+  if (!only_stack.empty()) {
+    stacks = {only_stack == "tcp" ? apps::ChaosStack::kTcp
+                                  : apps::ChaosStack::kClic};
   }
 
   bool all_ok = true;
@@ -59,7 +52,6 @@ int main(int argc, char** argv) {
       apps::ChaosOptions o;
       o.stack = stack;
       o.seed = seed;
-      o.shards = shards;
       o.adaptive = adaptive;
       const apps::ChaosReport r = apps::run_chaos_campaign(o);
       std::cout << r.summary() << '\n';

@@ -3,12 +3,9 @@
 # figure/table. Outputs land in test_output.txt and bench_output.txt at the
 # repository root.
 #
-# Usage: scripts/reproduce.sh [-j N] [--shards N]
-#   -j N        worker threads per figure binary (default: all cores; -j1 is
-#               the exact sequential run — figure output is byte-identical at
-#               any -j)
-#   --shards N  intra-scenario PDES shards per simulation (default 1; figure
-#               output is byte-identical at any shard count)
+# Usage: scripts/reproduce.sh [-j N]
+#   -j N  worker threads per sweep binary (default: all cores; -j1 is the
+#         exact sequential run — figure output is byte-identical at any -j)
 #
 # Figure binaries exit non-zero when a PAPER-vs-MEASURED row goes [off] or a
 # qualitative claim prints [VIOLATED]; with pipefail below, a shape
@@ -17,14 +14,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc)"
-SHARDS=1
 while [ $# -gt 0 ]; do
   case "$1" in
     -j) JOBS="$2"; shift 2 ;;
     -j*) JOBS="${1#-j}"; shift ;;
-    --shards) SHARDS="$2"; shift 2 ;;
-    --shards=*) SHARDS="${1#--shards=}"; shift ;;
-    *) echo "usage: $0 [-j N] [--shards N]" >&2; exit 2 ;;
+    *) echo "usage: $0 [-j N]" >&2; exit 2 ;;
   esac
 done
 
@@ -38,10 +32,12 @@ for b in build/bench/*; do
   if [ -f "$b" ] && [ -x "$b" ]; then
     echo "===== $(basename "$b") =====" | tee -a bench_output.txt
     case "$(basename "$b")" in
-      micro_engine)  # google-benchmark binary: no -j flag
+      # One scenario per run (the scaling benches) or google-benchmark
+      # (micro_engine): no -j flag.
+      pdes_scale|collective_scale|micro_engine)
         "$b" 2>&1 | tee -a bench_output.txt ;;
       *)
-        "$b" -j "$JOBS" --shards "$SHARDS" 2>&1 | tee -a bench_output.txt ;;
+        "$b" -j "$JOBS" 2>&1 | tee -a bench_output.txt ;;
     esac
   fi
 done

@@ -23,24 +23,11 @@
 
 namespace clicsim::apps {
 
-struct SweepOptions {
-  int jobs = 0;    // worker threads; <= 0 means every hardware core
-  int shards = 1;  // intra-scenario PDES shards per simulation (1 = serial)
-};
-
-// Parses the shared benchmark command line: `-j N`, `-jN`, `--jobs N` or
-// `--jobs=N` select the worker count (default: all cores; `-j1` reproduces
-// the sequential run bit for bit); `--shards N` / `--shards=N` shard each
-// individual simulation across N PDES worker threads (default 1; output is
-// byte-identical at any shard count). `-h`/`--help` prints usage and exits
-// 0; anything unrecognized prints usage to stderr and exits 2.
-SweepOptions parse_sweep_args(int argc, char** argv);
-
 template <typename Row>
 class SweepRunner {
  public:
-  explicit SweepRunner(SweepOptions options = {})
-      : options_(options) {}
+  // `jobs` worker threads; <= 0 means every hardware core.
+  explicit SweepRunner(int jobs) : threads_(jobs) {}
 
   // Registers one self-contained scenario job; returns its row index.
   std::size_t add(std::function<Row()> job) {
@@ -56,7 +43,7 @@ class SweepRunner {
   std::vector<Row> run(std::vector<std::string>* captured_logs = nullptr) {
     std::vector<Row> rows(jobs_.size());
     std::vector<std::string> logs(jobs_.size());
-    const sim::ParallelExecutor pool(options_.jobs);
+    const sim::ParallelExecutor pool(threads_);
     pool.run_indexed(jobs_.size(), [&](std::size_t i) {
       const sim::ScopedLogSink sink(&logs[i]);
       rows[i] = jobs_[i]();
@@ -73,7 +60,7 @@ class SweepRunner {
   }
 
  private:
-  SweepOptions options_;
+  int threads_;
   std::vector<std::function<Row()>> jobs_;
 };
 
@@ -86,9 +73,10 @@ struct SeriesSpec {
 
 // Builds every (series, size) bandwidth point as one job in a single flat
 // FIFO and reassembles the curves in spec order. This is the workhorse of
-// the figure binaries: all points of all curves share the worker pool.
+// the figure binaries: all points of all curves share one pool of `jobs`
+// worker threads (<= 0: every hardware core).
 [[nodiscard]] std::vector<sim::Series> bandwidth_series_set(
     const std::vector<SeriesSpec>& specs,
-    const std::vector<std::int64_t>& sizes, const SweepOptions& options);
+    const std::vector<std::int64_t>& sizes, int jobs);
 
 }  // namespace clicsim::apps

@@ -391,16 +391,6 @@ constexpr int kStreamPort = 13;      // CLIC
 constexpr int kRpcTcpPort = 7000;
 constexpr int kStreamTcpPort = 7001;
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
 void put_u32(std::vector<std::byte>& v, std::size_t off, std::uint32_t x) {
   for (int i = 0; i < 4; ++i) {
     v[off + static_cast<std::size_t>(i)] =
@@ -559,14 +549,14 @@ RpcResult fold_rpc(const RpcConfig& cfg, const RpcState& st,
                    std::uint64_t events, sim::SimTime finished) {
   RpcResult r;
   r.latency = sim::HdrHistogram(cfg.sig_digits);
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = sim::kDigestSeed;
   for (std::size_t c = 0; c < st.latency.size(); ++c) {
     for (std::size_t k = 0; k < st.latency[c].size(); ++k) {
       const sim::SimTime lat = st.latency[c][k];
       ++r.requests;
-      fnv(h, static_cast<std::uint64_t>(c));
-      fnv(h, static_cast<std::uint64_t>(k));
-      fnv(h, static_cast<std::uint64_t>(lat));
+      sim::fnv1a(h, static_cast<std::uint64_t>(c));
+      sim::fnv1a(h, static_cast<std::uint64_t>(k));
+      sim::fnv1a(h, static_cast<std::uint64_t>(lat));
       if (lat >= 0) {
         r.latency.add(lat);
         ++r.responses;
@@ -580,7 +570,7 @@ RpcResult fold_rpc(const RpcConfig& cfg, const RpcState& st,
   // The digest certifies workload-visible outcomes only: engine event
   // totals can differ by a no-op drain under retransmission storms at
   // high shard counts while every latency and clock stays bit-identical.
-  fnv(h, static_cast<std::uint64_t>(finished));
+  sim::fnv1a(h, static_cast<std::uint64_t>(finished));
   r.digest = h;
   return r;
 }
@@ -930,7 +920,7 @@ StreamingResult fold_streaming(
     std::uint64_t events, sim::SimTime finished) {
   StreamingResult r;
   r.latency = sim::HdrHistogram(cfg.sig_digits);
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = sim::kDigestSeed;
   for (const auto& jb : jbs) {  // stream index order
     r.frames += jb->frames_expected();
     r.on_time += jb->frames_on_time();
@@ -940,22 +930,22 @@ StreamingResult fold_streaming(
     r.in_flight += jb->pending_frames();
     r.max_depth = std::max(r.max_depth, jb->max_depth());
     r.latency.merge(jb->latency());
-    fnv(h, jb->frames_on_time());
-    fnv(h, jb->deadline_misses());
-    fnv(h, jb->late_fragments());
-    fnv(h, jb->duplicate_fragments());
-    fnv(h, static_cast<std::uint64_t>(jb->max_depth()));
-    fnv(h, jb->latency().count());
-    fnv(h, static_cast<std::uint64_t>(jb->latency().min()));
-    fnv(h, static_cast<std::uint64_t>(jb->latency().max()));
-    fnv(h, static_cast<std::uint64_t>(jb->latency().quantile(0.50)));
-    fnv(h, static_cast<std::uint64_t>(jb->latency().quantile(0.99)));
-    fnv(h, static_cast<std::uint64_t>(jb->latency().quantile(0.999)));
+    sim::fnv1a(h, jb->frames_on_time());
+    sim::fnv1a(h, jb->deadline_misses());
+    sim::fnv1a(h, jb->late_fragments());
+    sim::fnv1a(h, jb->duplicate_fragments());
+    sim::fnv1a(h, static_cast<std::uint64_t>(jb->max_depth()));
+    sim::fnv1a(h, jb->latency().count());
+    sim::fnv1a(h, static_cast<std::uint64_t>(jb->latency().min()));
+    sim::fnv1a(h, static_cast<std::uint64_t>(jb->latency().max()));
+    sim::fnv1a(h, static_cast<std::uint64_t>(jb->latency().quantile(0.50)));
+    sim::fnv1a(h, static_cast<std::uint64_t>(jb->latency().quantile(0.99)));
+    sim::fnv1a(h, static_cast<std::uint64_t>(jb->latency().quantile(0.999)));
   }
   r.finished_at = finished;
   r.events = events;
   // Workload-visible outcomes only; see fold_rpc on engine event totals.
-  fnv(h, static_cast<std::uint64_t>(finished));
+  sim::fnv1a(h, static_cast<std::uint64_t>(finished));
   r.digest = h;
   return r;
 }
@@ -1037,16 +1027,6 @@ std::vector<std::int64_t> sweep_sizes(std::int64_t lo, std::int64_t hi,
   }
   if (sizes.empty() || sizes.back() < hi) sizes.push_back(hi);
   return sizes;
-}
-
-sim::Series bandwidth_series(
-    const std::string& name, const std::vector<std::int64_t>& sizes,
-    const std::function<sim::SimTime(std::int64_t)>& one_way) {
-  sim::Series series(name);
-  for (const auto size : sizes) {
-    series.add(static_cast<double>(size), to_mbps(size, one_way(size)));
-  }
-  return series;
 }
 
 }  // namespace clicsim::apps

@@ -186,9 +186,4 @@ struct StreamingResult {
     std::int64_t lo = 16, std::int64_t hi = 4 * 1024 * 1024,
     int per_decade = 4);
 
-// Builds a bandwidth-vs-size series from a one-way-time function.
-[[nodiscard]] sim::Series bandwidth_series(
-    const std::string& name, const std::vector<std::int64_t>& sizes,
-    const std::function<sim::SimTime(std::int64_t)>& one_way);
-
 }  // namespace clicsim::apps

@@ -29,6 +29,20 @@ constexpr std::uint64_t hash_name(std::string_view name) {
   return h;
 }
 
+// Start value of the run digests the determinism gates compare. It is the
+// FNV-1a offset basis with its last decimal digit dropped, kept so that
+// every digest already published stays byte-identical.
+inline constexpr std::uint64_t kDigestSeed = 1469598103934665603ULL;
+
+// Folds the eight bytes of `v`, least significant first, into the FNV-1a
+// digest `h`.
+constexpr void fnv1a(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) {

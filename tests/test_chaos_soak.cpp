@@ -117,6 +117,11 @@ TEST_P(ClicChaos, CampaignSatisfiesBoundedFailureLiveness) {
       << "hung send, campaign seed " << r.seed;
   // The storm must actually have happened.
   EXPECT_GT(r.fault_events, 0u) << "campaign seed " << r.seed;
+  // Sharding the same campaign must not change one observable number.
+  apps::ChaosOptions sharded = o;
+  sharded.shards = 2;
+  EXPECT_EQ(apps::run_chaos_campaign(sharded).summary(), r.summary())
+      << "campaign seed " << r.seed << " diverged at 2 shards";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClicChaos,
@@ -147,7 +152,7 @@ TEST_P(ClicChaosAdaptive, CampaignSatisfiesBoundedFailureLiveness) {
   apps::ChaosOptions sharded = o;
   sharded.shards = 2;
   EXPECT_EQ(apps::run_chaos_campaign(sharded).summary(), r.summary())
-      << "campaign seed " << r.seed << " diverged at --shards 2";
+      << "campaign seed " << r.seed << " diverged at 2 shards";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClicChaosAdaptive,
@@ -172,6 +177,11 @@ TEST_P(TcpChaos, CampaignSatisfiesBoundedFailureLiveness) {
   // stream must complete.
   EXPECT_EQ(r.delivered, r.messages)
       << "campaign seed " << r.seed << ": " << r.summary();
+  // Sharding the same campaign must not change one observable number.
+  apps::ChaosOptions sharded = o;
+  sharded.shards = 2;
+  EXPECT_EQ(apps::run_chaos_campaign(sharded).summary(), r.summary())
+      << "campaign seed " << r.seed << " diverged at 2 shards";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TcpChaos,

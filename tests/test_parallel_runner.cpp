@@ -8,8 +8,10 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
+#include "apps/command_line.hpp"
 #include "apps/sweep.hpp"
 #include "apps/testbed.hpp"
 #include "apps/workloads.hpp"
@@ -148,7 +150,7 @@ TEST(SweepDeterminism, RowsAndTracesIdenticalAcrossJobCounts) {
                                         9000, 30000, 65536, 262144};
 
   auto sweep = [&](int jobs, std::vector<std::string>* logs) {
-    apps::SweepRunner<TracedRow> runner(apps::SweepOptions{jobs});
+    apps::SweepRunner<TracedRow> runner(jobs);
     for (const auto size : sizes) {
       runner.add([size] { return traced_point(size); });
     }
@@ -218,7 +220,7 @@ TEST(SweepDeterminism, PooledRowsIdenticalAcrossJobCountsAndBypass) {
   const std::vector<std::int64_t> sizes{1,    512,   4096,
                                         9000, 30000, 120000};
   auto sweep = [&](int jobs) {
-    apps::SweepRunner<PooledRow> runner(apps::SweepOptions{jobs});
+    apps::SweepRunner<PooledRow> runner(jobs);
     for (const auto size : sizes) {
       runner.add([size] { return pooled_point(size); });
     }
@@ -245,7 +247,7 @@ TEST(SweepDeterminism, PooledRowsIdenticalAcrossJobCountsAndBypass) {
 }
 
 TEST(SweepRunner, RowsComeBackInAddOrder) {
-  apps::SweepRunner<int> runner(apps::SweepOptions{4});
+  apps::SweepRunner<int> runner(4);
   for (int i = 0; i < 32; ++i) {
     runner.add([i] { return i * i; });
   }
@@ -259,7 +261,7 @@ TEST(SweepRunner, FlushesLogsInJobOrderWhenNotCaptured) {
   // buffers arrive index-aligned even though execution interleaves.
   const sim::LogLevel before = sim::log_level();
   sim::set_log_level(sim::LogLevel::kInfo);
-  apps::SweepRunner<int> runner(apps::SweepOptions{4});
+  apps::SweepRunner<int> runner(4);
   for (int i = 0; i < 8; ++i) {
     runner.add([i] {
       sim::Simulator sim;
@@ -281,30 +283,105 @@ TEST(SweepRunner, FlushesLogsInJobOrderWhenNotCaptured) {
   }
 }
 
+// The figure binaries' command line: the -j flag family alone.
+int parse_jobs(std::vector<const char*> argv) {
+  int jobs = 0;
+  apps::parse_args(static_cast<int>(argv.size()),
+                   const_cast<char**>(argv.data()), {apps::jobs_flag(jobs)});
+  return jobs;
+}
+
 TEST(SweepArgs, ParsesJobFlagForms) {
-  auto parse = [](std::vector<const char*> argv) {
-    return apps::parse_sweep_args(static_cast<int>(argv.size()),
-                                  const_cast<char**>(argv.data()));
-  };
-  EXPECT_EQ(parse({"bench"}).jobs, 0);
-  EXPECT_EQ(parse({"bench", "-j", "4"}).jobs, 4);
-  EXPECT_EQ(parse({"bench", "-j8"}).jobs, 8);
-  EXPECT_EQ(parse({"bench", "--jobs", "2"}).jobs, 2);
-  EXPECT_EQ(parse({"bench", "--jobs=16"}).jobs, 16);
+  EXPECT_EQ(parse_jobs({"bench"}), 0);
+  EXPECT_EQ(parse_jobs({"bench", "-j", "4"}), 4);
+  EXPECT_EQ(parse_jobs({"bench", "-j8"}), 8);
+  EXPECT_EQ(parse_jobs({"bench", "--jobs", "2"}), 2);
+  EXPECT_EQ(parse_jobs({"bench", "--jobs=16"}), 16);
 }
 
 TEST(SweepArgs, RejectsBadInput) {
-  auto run = [](std::vector<const char*> argv) {
-    apps::parse_sweep_args(static_cast<int>(argv.size()),
-                           const_cast<char**>(argv.data()));
-  };
-  EXPECT_EXIT(run({"bench", "-j", "0"}), testing::ExitedWithCode(2), "usage");
-  EXPECT_EXIT(run({"bench", "-j"}), testing::ExitedWithCode(2), "usage");
-  EXPECT_EXIT(run({"bench", "-jx"}), testing::ExitedWithCode(2), "usage");
-  EXPECT_EXIT(run({"bench", "--frobnicate"}), testing::ExitedWithCode(2),
+  EXPECT_EXIT(parse_jobs({"bench", "-j", "0"}), testing::ExitedWithCode(2),
               "usage");
+  EXPECT_EXIT(parse_jobs({"bench", "-j"}), testing::ExitedWithCode(2),
+              "usage");
+  EXPECT_EXIT(parse_jobs({"bench", "-jx"}), testing::ExitedWithCode(2),
+              "usage");
+  EXPECT_EXIT(parse_jobs({"bench", "--frobnicate"}),
+              testing::ExitedWithCode(2), "usage");
   // --help prints usage on stdout (the death-test matcher sees stderr only).
-  EXPECT_EXIT(run({"bench", "--help"}), testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(parse_jobs({"bench", "--help"}), testing::ExitedWithCode(0),
+              "");
+}
+
+// The 2-node sweep binaries do not declare --shards: it is an unknown flag
+// in every spelling.
+TEST(SweepArgs, RejectsUndeclaredShards) {
+  EXPECT_EXIT(parse_jobs({"bench", "--shards", "2"}),
+              testing::ExitedWithCode(2), "unknown argument '--shards'");
+  EXPECT_EXIT(parse_jobs({"bench", "-j1", "--shards=1"}),
+              testing::ExitedWithCode(2), "usage");
+}
+
+TEST(SweepArgs, EnforcesDeclaredRange) {
+  auto parse = [](std::vector<const char*> argv) {
+    std::int64_t bytes = 7;
+    apps::parse_args(static_cast<int>(argv.size()),
+                     const_cast<char**>(argv.data()),
+                     {apps::int_flag("--bytes", "payload", 1, 1400, bytes)});
+    return bytes;
+  };
+  EXPECT_EQ(parse({"bench"}), 7);
+  EXPECT_EQ(parse({"bench", "--bytes", "1"}), 1);
+  EXPECT_EQ(parse({"bench", "--bytes=1400"}), 1400);
+  EXPECT_EXIT(parse({"bench", "--bytes", "0"}), testing::ExitedWithCode(2),
+              "bad value '0' for --bytes");
+  EXPECT_EXIT(parse({"bench", "--bytes=1401"}), testing::ExitedWithCode(2),
+              "usage");
+  EXPECT_EXIT(parse({"bench", "--bytes", "2x"}), testing::ExitedWithCode(2),
+              "usage");
+}
+
+TEST(SweepArgs, ParsesSwitchesEnumsAndPositionals) {
+  bool adaptive = false;
+  std::string topology = "star";
+  int seed = -1;
+  std::vector<const char*> argv = {"bench", "12", "--topology=ring",
+                                   "--adaptive"};
+  const std::vector<apps::Flag> flags = {
+      apps::bool_flag("--adaptive", "switch", adaptive),
+      apps::int_flag("seed", "positional", 0, 99, seed),
+      apps::enum_flag("--topology", {"ring", "fat-tree"}, "shape", topology)};
+  apps::parse_args(static_cast<int>(argv.size()),
+                   const_cast<char**>(argv.data()), flags);
+  EXPECT_TRUE(adaptive);
+  EXPECT_EQ(seed, 12);
+  EXPECT_EQ(topology, "ring");
+
+  auto run = [&flags](std::vector<const char*> args) {
+    apps::parse_args(static_cast<int>(args.size()),
+                     const_cast<char**>(args.data()), flags);
+  };
+  EXPECT_EXIT(run({"bench", "--topology", "torus"}),
+              testing::ExitedWithCode(2), "usage");
+  EXPECT_EXIT(run({"bench", "--adaptive=1"}), testing::ExitedWithCode(2),
+              "usage");
+  EXPECT_EXIT(run({"bench", "1", "2"}), testing::ExitedWithCode(2),
+              "unexpected argument '2'");
+}
+
+// --help lists every declared flag on stdout (redirected onto stderr here
+// so the death-test matcher can see it) and exits 0.
+TEST(SweepArgs, HelpListsDeclaredFlagsOnStdout) {
+  auto help = [] {
+    dup2(STDERR_FILENO, STDOUT_FILENO);
+    int nodes = 64;
+    std::vector<const char*> argv = {"bench", "--help"};
+    apps::parse_args(
+        static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+        {apps::int_flag("--nodes", "cluster size", 2, 4096, nodes)});
+  };
+  EXPECT_EXIT(help(), testing::ExitedWithCode(0),
+              "usage: bench \\[--nodes N\\]\n  --nodes N +cluster size");
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Reporting and parallel-sweep utilities.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <vector>
 
-#include "apps/parallel.hpp"
 #include "apps/report.hpp"
+#include "apps/sweep.hpp"
 #include "apps/testbed.hpp"
 #include "apps/workloads.hpp"
 #include "sim/task.hpp"
@@ -60,18 +62,29 @@ TEST(Report, ClicSnapshotShowsChannels) {
   EXPECT_NE(s.find("retransmits 0"), std::string::npos);
 }
 
+// Maps `fn` over `inputs` as one SweepRunner job per input.
+std::vector<sim::SimTime> sweep_map(
+    const std::vector<std::int64_t>& inputs,
+    const std::function<sim::SimTime(std::int64_t)>& fn, int jobs) {
+  apps::SweepRunner<sim::SimTime> runner(jobs);
+  for (const auto input : inputs) {
+    runner.add([&fn, input] { return fn(input); });
+  }
+  return runner.run();
+}
+
 TEST(Parallel, MapMatchesSequentialResults) {
   const std::vector<std::int64_t> inputs{1, 2, 3, 5, 8, 13, 21};
   auto fn = [](std::int64_t n) { return sim::SimTime{n * n}; };
-  const auto seq = apps::parallel_map(inputs, fn, 1);
-  const auto par = apps::parallel_map(inputs, fn, 4);
+  const auto seq = sweep_map(inputs, fn, 1);
+  const auto par = sweep_map(inputs, fn, 4);
   EXPECT_EQ(seq, par);
   EXPECT_EQ(seq[3], 25);
 }
 
 TEST(Parallel, EmptyInputIsFine) {
   EXPECT_TRUE(
-      apps::parallel_map({}, [](std::int64_t) { return sim::SimTime{1}; })
+      sweep_map({}, [](std::int64_t) { return sim::SimTime{1}; }, 0)
           .empty());
 }
 
@@ -82,8 +95,8 @@ TEST(Parallel, ConcurrentSimulationsAreIndependent) {
   s.pingpong_reps = 2;
   const std::vector<std::int64_t> sizes{0, 1000, 30000};
   auto fn = [&](std::int64_t n) { return apps::clic_one_way(s, n); };
-  const auto seq = apps::parallel_map(sizes, fn, 1);
-  const auto par = apps::parallel_map(sizes, fn, 3);
+  const auto seq = sweep_map(sizes, fn, 1);
+  const auto par = sweep_map(sizes, fn, 3);
   EXPECT_EQ(seq, par);
 }
 
@@ -92,8 +105,8 @@ TEST(Parallel, SeriesParallelEqualsSeriesSequential) {
   s.pingpong_reps = 2;
   const auto sizes = apps::sweep_sizes(64, 65536, 2);
   auto fn = [&](std::int64_t n) { return apps::clic_one_way(s, n); };
-  const auto a = apps::bandwidth_series("x", sizes, fn);
-  const auto b = apps::bandwidth_series_parallel("x", sizes, fn, 4);
+  const auto a = apps::bandwidth_series_set({{"x", fn}}, sizes, 1)[0];
+  const auto b = apps::bandwidth_series_set({{"x", fn}}, sizes, 4)[0];
   ASSERT_EQ(a.points().size(), b.points().size());
   for (std::size_t i = 0; i < a.points().size(); ++i) {
     EXPECT_DOUBLE_EQ(a.points()[i].y, b.points()[i].y);

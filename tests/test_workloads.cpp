@@ -2,6 +2,7 @@
 // collectives (scatter, alltoall).
 #include <gtest/gtest.h>
 
+#include "apps/sweep.hpp"
 #include "apps/workloads.hpp"
 
 namespace clicsim {
@@ -32,9 +33,9 @@ TEST(Workloads, ToMbpsMath) {
 
 TEST(Workloads, BandwidthSeriesEvaluatesEachSize) {
   const std::vector<std::int64_t> sizes{100, 1000};
-  auto series = apps::bandwidth_series(
-      "test", sizes,
-      [](std::int64_t n) { return sim::SimTime{n * 10}; });  // 10 ns/B
+  auto ten_ns_per_byte = [](std::int64_t n) { return sim::SimTime{n * 10}; };
+  const auto series =
+      apps::bandwidth_series_set({{"test", ten_ns_per_byte}}, sizes, 1)[0];
   ASSERT_EQ(series.points().size(), 2u);
   EXPECT_DOUBLE_EQ(series.points()[0].y, series.points()[1].y);  // flat rate
 }
