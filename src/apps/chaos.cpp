@@ -37,12 +37,10 @@ void configure_link_faults(os::Cluster& cluster, const ChaosOptions& o) {
     // One independent stream per link direction, all derived from the
     // campaign seed so the whole storm replays from one integer.
     f.set_seed(o.seed * 1000003u + static_cast<std::uint64_t>(stream++));
-    if (o.gilbert_elliott) {
-      f.set_gilbert_elliott(kGeGoodToBad, kGeBadToGood, kGeLossGood,
-                            kGeLossBad);
-    }
-    if (o.duplicates) f.set_duplicate_probability(kDupProbability);
-    if (o.reorder) f.set_delay(kDelayProbability, kDelayJitter);
+    f.set_gilbert_elliott(kGeGoodToBad, kGeBadToGood, kGeLossGood,
+                          kGeLossBad);
+    f.set_duplicate_probability(kDupProbability);
+    f.set_delay(kDelayProbability, kDelayJitter);
   };
   for (int i = 0; i < cluster.size(); ++i) {
     for (int j = 0; j < cluster.config().nics_per_node; ++j) {
@@ -103,7 +101,7 @@ void schedule_clear_link_faults(sim::FaultPlan& plan, os::Cluster& cluster,
 
 // The hard partition: longer than the CLIC channel's full retry budget
 // (~1.4 s at the default rto/backoff/cap/max_retries), still healing well
-// inside the default fault window.
+// inside the fault window.
 constexpr sim::SimTime kPartitionStart = sim::milliseconds(200.0);
 constexpr sim::SimTime kPartitionEnd = sim::milliseconds(2400.0);
 
@@ -198,12 +196,12 @@ ChaosReport run_clic(const ChaosOptions& o) {
   sim::FaultPlan plan(bed.sim, o.seed);
   register_cluster_targets(plan, bed.cluster);
   configure_link_faults(bed.cluster, o);
-  schedule_clear_link_faults(plan, bed.cluster, o.fault_window);
-  if (o.hard_partition) schedule_hard_partition(plan, bed.cluster, o.seed);
+  schedule_clear_link_faults(plan, bed.cluster, kChaosFaultWindow);
+  schedule_hard_partition(plan, bed.cluster, o.seed);
 
   sim::FaultPlan::Campaign campaign;
   campaign.start = sim::milliseconds(1.0);
-  campaign.end = o.fault_window;
+  campaign.end = kChaosFaultWindow;
   campaign.outages = o.outages;
   plan.randomize(campaign);
 
@@ -248,9 +246,9 @@ ChaosReport run_clic(const ChaosOptions& o) {
     // deliver.
     const bool late = m >= (3 * o.messages) / 4;
     const sim::SimTime start =
-        late ? o.fault_window + sim::milliseconds(10.0) *
-                                    static_cast<sim::SimTime>(1 + m)
-             : (o.fault_window * static_cast<sim::SimTime>(m)) /
+        late ? kChaosFaultWindow + sim::milliseconds(10.0) *
+                                       static_cast<sim::SimTime>(1 + m)
+             : (kChaosFaultWindow * static_cast<sim::SimTime>(m)) /
                    static_cast<sim::SimTime>(std::max(2 * o.messages, 1));
     MessageState* st = &states[static_cast<std::size_t>(m)];
     // Each capture gets its own detached payload copy (made here, on the
@@ -334,12 +332,12 @@ ChaosReport run_tcp(const ChaosOptions& o) {
   sim::FaultPlan plan(bed.sim, o.seed);
   register_cluster_targets(plan, bed.cluster);
   configure_link_faults(bed.cluster, o);
-  schedule_clear_link_faults(plan, bed.cluster, o.fault_window);
-  if (o.hard_partition) schedule_hard_partition(plan, bed.cluster, o.seed);
+  schedule_clear_link_faults(plan, bed.cluster, kChaosFaultWindow);
+  schedule_hard_partition(plan, bed.cluster, o.seed);
 
   sim::FaultPlan::Campaign campaign;
   campaign.start = sim::milliseconds(1.0);
-  campaign.end = o.fault_window;
+  campaign.end = kChaosFaultWindow;
   campaign.outages = o.outages;
   plan.randomize(campaign);
 
@@ -383,9 +381,9 @@ ChaosReport run_tcp(const ChaosOptions& o) {
     // against the freshly healed cluster.
     const bool late = m >= (3 * o.messages) / 4;
     const sim::SimTime start =
-        late ? o.fault_window + sim::milliseconds(10.0) *
-                                    static_cast<sim::SimTime>(1 + m)
-             : (o.fault_window * static_cast<sim::SimTime>(m)) /
+        late ? kChaosFaultWindow + sim::milliseconds(10.0) *
+                                       static_cast<sim::SimTime>(1 + m)
+             : (kChaosFaultWindow * static_cast<sim::SimTime>(m)) /
                    static_cast<sim::SimTime>(std::max(2 * o.messages, 1));
     MessageState* st = &states[static_cast<std::size_t>(m)];
     // Detached copies per capture, as in the CLIC run.

@@ -5,7 +5,7 @@
 // carriers, switch ports, NIC DMA engines) into a sim::FaultPlan, layers
 // probabilistic misbehaviour (Gilbert–Elliott burst loss, duplication,
 // bounded-jitter reordering) onto the links, and drives a mesh of
-// confirmed sends through the storm. All faults heal by `fault_window`;
+// confirmed sends through the storm. All faults heal by kChaosFaultWindow;
 // by `deadline` the run must satisfy bounded-failure liveness:
 //
 //   * every confirmed send resolved — acknowledged, or failed cleanly
@@ -31,6 +31,13 @@ namespace clicsim::apps {
 
 enum class ChaosStack { kClic, kTcp };
 
+// Every campaign layers Gilbert–Elliott burst loss, frame duplication and
+// bounded-jitter reordering onto every link, and one seed-chosen node loses
+// its carrier for longer than the CLIC retry budget: sends in flight to or
+// from it must fail *cleanly* (bounded failure), and the peer must
+// resynchronize when it comes back. All of it heals by this time.
+inline constexpr sim::SimTime kChaosFaultWindow = sim::seconds(3.0);
+
 struct ChaosOptions {
   ChaosStack stack = ChaosStack::kClic;
   std::uint64_t seed = 1;
@@ -45,19 +52,11 @@ struct ChaosOptions {
   int messages = 24;          // confirmed sends, round-robin over node pairs
   std::int64_t bytes = 8000;  // payload per message
 
-  // Faults are injected in [0, fault_window) and all heal at its close;
-  // liveness is then enforced at `deadline`.
-  sim::SimTime fault_window = sim::seconds(3.0);
+  // Faults are injected in [0, kChaosFaultWindow) and all heal at its
+  // close; liveness is then enforced at `deadline`.
   sim::SimTime deadline = sim::seconds(30.0);
 
-  int outages = 6;              // random carrier/port/stall outages
-  bool gilbert_elliott = true;  // two-state bursty loss on every link
-  bool duplicates = true;       // frame duplication
-  bool reorder = true;          // bounded-jitter delay (reordering)
-  // One seed-chosen node loses its carrier for longer than the CLIC retry
-  // budget: sends in flight to/from it must fail *cleanly* (bounded
-  // failure), and the peer must resynchronize when it comes back.
-  bool hard_partition = true;
+  int outages = 6;  // random carrier/port/stall outages
 
   // Run the CLIC stack in adaptive reliability mode (DESIGN.md §4k):
   // measured-RTT RTO ladder + congestion window. The liveness contract is

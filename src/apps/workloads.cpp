@@ -545,10 +545,9 @@ RpcState make_rpc_state(const RpcConfig& cfg) {
   return st;
 }
 
-RpcResult fold_rpc(const RpcConfig& cfg, const RpcState& st,
-                   std::uint64_t events, sim::SimTime finished) {
+RpcResult fold_rpc(const RpcState& st, std::uint64_t events,
+                   sim::SimTime finished) {
   RpcResult r;
-  r.latency = sim::HdrHistogram(cfg.sig_digits);
   std::uint64_t h = sim::kDigestSeed;
   for (std::size_t c = 0; c < st.latency.size(); ++c) {
     for (std::size_t k = 0; k < st.latency[c].size(); ++k) {
@@ -670,7 +669,7 @@ RpcResult rpc_clic(const Scenario& s, const RpcConfig& cfg) {
                static_cast<std::uint32_t>(c), *mboxes[static_cast<std::size_t>(n - 1)]);
   }
   bed.run();
-  return fold_rpc(cfg, st, bed.events_executed(), bed.now());
+  return fold_rpc(st, bed.events_executed(), bed.now());
 }
 
 namespace {
@@ -768,7 +767,7 @@ RpcResult rpc_tcp(const Scenario& s, const RpcConfig& cfg) {
                static_cast<std::uint32_t>(c), *mboxes[static_cast<std::size_t>(n - 1)]);
   }
   bed.run();
-  return fold_rpc(cfg, st, bed.events_executed(), bed.now());
+  return fold_rpc(st, bed.events_executed(), bed.now());
 }
 
 namespace {
@@ -902,7 +901,7 @@ std::vector<std::unique_ptr<JitterBuffer>> make_jitter_buffers(
     const FragGeometry& g) {
   std::vector<std::unique_ptr<JitterBuffer>> jbs;
   for (int s = 0; s < cfg.streams; ++s) {
-    auto jb = std::make_unique<JitterBuffer>(rx_sim, cfg.sig_digits);
+    auto jb = std::make_unique<JitterBuffer>(rx_sim);
     const sim::SimTime t0 = stream_phase(cfg, s);
     for (int k = 0; k < cfg.frames_per_stream; ++k) {
       const sim::SimTime gen = t0 + static_cast<sim::SimTime>(k) * cfg.cadence;
@@ -915,11 +914,9 @@ std::vector<std::unique_ptr<JitterBuffer>> make_jitter_buffers(
 }
 
 StreamingResult fold_streaming(
-    const StreamingConfig& cfg,
     const std::vector<std::unique_ptr<JitterBuffer>>& jbs,
     std::uint64_t events, sim::SimTime finished) {
   StreamingResult r;
-  r.latency = sim::HdrHistogram(cfg.sig_digits);
   std::uint64_t h = sim::kDigestSeed;
   for (const auto& jb : jbs) {  // stream index order
     r.frames += jb->frames_expected();
@@ -977,7 +974,7 @@ StreamingResult streaming_clic(const Scenario& s, const StreamingConfig& cfg) {
     StreamClicRun::sender(bed.sim_of(st + 1), bed.module(st + 1), cfg, st, g);
   }
   bed.run();
-  return fold_streaming(cfg, jbs, bed.events_executed(), bed.now());
+  return fold_streaming(jbs, bed.events_executed(), bed.now());
 }
 
 StreamingResult streaming_tcp(const Scenario& s, const StreamingConfig& cfg) {
@@ -1005,7 +1002,7 @@ StreamingResult streaming_tcp(const Scenario& s, const StreamingConfig& cfg) {
     });
   }
   bed.run();
-  return fold_streaming(cfg, jbs, bed.events_executed(), bed.now());
+  return fold_streaming(jbs, bed.events_executed(), bed.now());
 }
 
 // --- Sweep helpers ---------------------------------------------------------------

@@ -128,7 +128,6 @@ struct RpcConfig {
   std::int64_t response_bytes = 1024;  // >= 16 (wire header)
   ArrivalSpec arrivals;
   std::uint64_t seed = 1;
-  int sig_digits = 3;  // latency histogram precision
   // Nonzero: a seeded FaultPlan burst-loss campaign (random carrier/port/
   // DMA outages, all healed by 10 ms) runs under the workload.
   std::uint64_t fault_seed = 0;
@@ -157,7 +156,6 @@ struct StreamingConfig {
   sim::SimTime deadline = sim::milliseconds(4.0);  // playout budget per frame
   sim::SimTime start = sim::microseconds(100.0);
   std::uint64_t seed = 1;  // per-stream phase jitter
-  int sig_digits = 3;
   std::uint64_t fault_seed = 0;  // as RpcConfig::fault_seed
 };
 

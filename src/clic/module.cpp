@@ -106,6 +106,37 @@ std::int64_t ClicModule::chunk_bytes() const {
 
 // --- Send path ---------------------------------------------------------------
 
+std::deque<Packet> ClicModule::segment(PacketType type, int src_port,
+                                       int dst_port, const net::Buffer& data,
+                                       const net::HeaderBlob& meta) const {
+  const std::int64_t chunk = chunk_bytes();
+  std::deque<Packet> packets;
+  std::int64_t offset = 0;
+  do {
+    // The upper-layer header rides on the first fragment and counts
+    // against its payload budget.
+    const bool first = packets.empty();
+    const std::int64_t budget =
+        first ? std::max<std::int64_t>(chunk - meta.wire_bytes(), 1) : chunk;
+    const std::int64_t len = std::min(budget, data.size() - offset);
+    Packet p;
+    p.header.type = type;
+    p.header.src_port = static_cast<std::uint8_t>(src_port);
+    p.header.dst_port = static_cast<std::uint8_t>(dst_port);
+    // Datagrams keep this number; the channel renumbers unicast fragments.
+    p.header.seq = static_cast<std::uint32_t>(packets.size());
+    if (first) {
+      p.header.flags |= flags::kFirstFragment;
+      p.upper = meta;
+    }
+    if (offset + len >= data.size()) p.header.flags |= flags::kLastFragment;
+    p.payload = len > 0 ? data.slice(offset, len) : net::Buffer::zeros(0);
+    packets.push_back(std::move(p));
+    offset += len;
+  } while (offset < data.size());
+  return packets;
+}
+
 sim::Future<SendStatus> ClicModule::send(int src_port, int dst_node,
                                          int dst_port, net::Buffer data,
                                          SendMode mode, PacketType type,
@@ -123,129 +154,83 @@ sim::Future<SendStatus> ClicModule::send(int src_port, int dst_node,
   kernel().syscall([this, src_port, dst_node, dst_port,
                     data = std::move(data), mode, type,
                     meta = std::move(meta), result]() mutable {
-    const std::int64_t chunk = chunk_bytes();
-    std::deque<Packet> packets;
-    std::int64_t offset = 0;
-    bool first = true;
-    do {
-      // The upper-layer header rides on the first fragment and counts
-      // against its payload budget.
-      const std::int64_t budget =
-          first ? std::max<std::int64_t>(chunk - meta.wire_bytes(), 1)
-                : chunk;
-      const std::int64_t len = std::min(budget, data.size() - offset);
-      Packet p;
-      p.header.type = type;
-      if (first) p.upper = meta;
-      p.header.src_port = static_cast<std::uint8_t>(src_port);
-      p.header.dst_port = static_cast<std::uint8_t>(dst_port);
-      if (first) p.header.flags |= flags::kFirstFragment;
-      if (offset + len >= data.size()) {
-        p.header.flags |= flags::kLastFragment;
-        if (mode == SendMode::kConfirmed) {
-          p.header.flags |= flags::kAckRequested;
-        }
-      }
-      p.payload = len > 0 ? data.slice(offset, len) : net::Buffer::zeros(0);
-      packets.push_back(std::move(p));
-      offset += len;
-      first = false;
-    } while (offset < data.size());
-    send_packets(dst_node, std::move(packets), mode, result);
+    auto packets = segment(type, src_port, dst_port, data, meta);
+    if (mode == SendMode::kConfirmed) {
+      packets.back().header.flags |= flags::kAckRequested;
+    }
+    walk(outgoing_.insert(outgoing_.end(), Outgoing{std::move(packets),
+                                                     dst_node, mode,
+                                                     std::move(result)}));
   });
   return result;
 }
 
-void ClicModule::send_packets(int dst_node, std::deque<Packet> packets,
-                              SendMode mode,
-                              sim::Future<SendStatus> result) {
-  struct State {
-    std::deque<Packet> packets;
-    int dma_remaining = 0;
-    bool aborted = false;   // channel gave up on an earlier fragment
-    bool finished = false;  // result future already resolved
-  };
-  auto state = std::make_shared<State>();
-  state->packets = std::move(packets);
-  state->dma_remaining = static_cast<int>(state->packets.size());
-
-  auto finish = [this, result](bool ok) mutable {
-    kernel().syscall_return([result, ok]() mutable {
-      result.set(SendStatus{ok, ok ? SendError::kNone : SendError::kTimedOut});
-    });
-  };
-
-  // Completion wiring by mode.
-  if (mode == SendMode::kSync) {
-    for (auto& p : state->packets) {
-      p.on_descriptor_done = [state, finish]() mutable {
-        if (--state->dma_remaining == 0) finish(true);
-      };
-    }
+// Per-fragment kernel processing: CLIC_MODULE header build + data-path
+// preparation, then the fragment enters the reliable channel. Fragments are
+// walked one at a time, so emission overlaps DMA of earlier ones.
+void ClicModule::walk(OutgoingIt msg) {
+  if (msg->aborted || msg->packets.empty()) {
+    // The walk ends after the last fragment, or early once the channel
+    // abandoned one (retry budget exhausted): submitting the rest would
+    // hand the peer a message with a hole.
+    msg->walking = false;
+    settle(msg);
+    return;
   }
-
-  // Per-packet kernel processing: CLIC_MODULE header build + data-path
-  // preparation, then the packet enters the reliable channel. Packets are
-  // processed sequentially, so emission overlaps DMA of earlier packets.
-  auto process_next = std::make_shared<std::function<void()>>();
-  *process_next = [this, state, dst_node, mode, finish,
-                   process_next]() mutable {
-    if (state->aborted) {
-      // The channel abandoned an earlier fragment of this message (retry
-      // budget exhausted). Submitting the rest would hand the peer a
-      // message with a hole, so the remainder is dropped here; the result
-      // future already resolved as failed.
-      *process_next = nullptr;
-      return;
-    }
-    if (state->packets.empty()) {
-      if (mode == SendMode::kAsync) finish(true);
-      // Break the shared_ptr cycle now that processing is complete.
-      *process_next = nullptr;
-      return;
-    }
-    Packet p = std::move(state->packets.front());
-    state->packets.pop_front();
-    const bool last = state->packets.empty();
-
-    node_->cpu().run(
-        sim::CpuPriority::kKernel, config_.module_tx_cost,
-        [this, state, p = std::move(p), dst_node, mode, last, finish,
-         process_next]() mutable {
-          // prepare_packet_data needs a stable Packet; keep it in a shared
-          // holder across the asynchronous cost charge.
-          auto holder = std::make_shared<Packet>(std::move(p));
-          prepare_packet_data(*holder,
-                              [this, state, holder, dst_node, mode, last,
-                               finish, process_next]() mutable {
-                                Channel::SendCallback on_result;
-                                if (mode == SendMode::kConfirmed) {
-                                  // Every fragment reports back: the last
-                                  // one resolves the send, and any
-                                  // abandoned fragment fails it early and
-                                  // stops the rest of the message.
-                                  on_result = [state, finish,
-                                               last](bool ok) mutable {
-                                    if (!ok) state->aborted = true;
-                                    if (state->finished) return;
-                                    if (last || !ok) {
-                                      state->finished = true;
-                                      finish(ok);
-                                    }
-                                  };
-                                }
-                                channel(dst_node)
-                                    .send(std::move(*holder),
-                                          std::move(on_result));
-                                (*process_next)();
-                              });
-        });
-  };
-  (*process_next)();
+  node_->cpu().run(sim::CpuPriority::kKernel, config_.module_tx_cost,
+                   [this, msg] {
+                     const sim::SimTime cost =
+                         prepare_packet_data(msg->packets.front());
+                     node_->cpu().run(sim::CpuPriority::kKernel, cost,
+                                      [this, msg] { hand_to_channel(msg); });
+                   });
 }
 
-void ClicModule::prepare_packet_data(Packet& packet,
-                                     std::function<void()> next) {
+void ClicModule::hand_to_channel(OutgoingIt msg) {
+  Packet p = std::move(msg->packets.front());
+  msg->packets.pop_front();
+  Channel::SendCallback on_result;
+  if (msg->mode == SendMode::kSync) {
+    ++msg->callbacks;
+    p.on_descriptor_done = [this, msg] {
+      --msg->callbacks;
+      settle(msg);
+    };
+  } else if (msg->mode == SendMode::kConfirmed) {
+    // Every fragment reports back: the send succeeds once all are acked
+    // (cumulative acks report the last fragment last), and any abandoned
+    // fragment fails it at once and stops the rest of the walk.
+    ++msg->callbacks;
+    on_result = [this, msg](bool ok) {
+      --msg->callbacks;
+      if (!ok) {
+        msg->aborted = true;
+        if (!msg->finished) resolve(*msg, false);
+      }
+      settle(msg);
+    };
+  }
+  channel(msg->dst_node).send(std::move(p), std::move(on_result));
+  walk(msg);
+}
+
+// Resolves a message whose walk ended and whose callbacks all came back
+// (async: at once; sync: after the last DMA; confirmed: on the last ack),
+// then frees it.
+void ClicModule::settle(OutgoingIt msg) {
+  if (msg->walking || msg->callbacks > 0) return;
+  if (!msg->finished) resolve(*msg, true);
+  outgoing_.erase(msg);
+}
+
+void ClicModule::resolve(Outgoing& msg, bool ok) {
+  msg.finished = true;
+  kernel().syscall_return([result = msg.result, ok]() mutable {
+    result.set(SendStatus{ok, ok ? SendError::kNone : SendError::kTimedOut});
+  });
+}
+
+sim::SimTime ClicModule::prepare_packet_data(Packet& packet) {
   auto& cpu = node_->cpu();
   TxPath path = config_.tx_path;
   if (path == TxPath::kZeroCopy && !node_->nic(0).profile().scatter_gather) {
@@ -257,16 +242,14 @@ void ClicModule::prepare_packet_data(Packet& packet,
       // Path 2: the SK_BUFF points at user memory; no CPU copy at all.
       packet.user_memory = true;
       packet.sg_fragments = 2;  // header block + user data
-      cpu.run(sim::CpuPriority::kKernel, 0, std::move(next));
-      return;
+      return 0;
 
     case TxPath::kOneCopy: {
       // Path 3: one copy into a kernel buffer, DMA from there.
       const std::int64_t n = packet.payload.size();
       node_->mem().copy_pressure(n);
       packet.sg_fragments = 1;
-      cpu.run(sim::CpuPriority::kKernel, cpu.copy_cost(n), std::move(next));
-      return;
+      return cpu.copy_cost(n);
     }
 
     case TxPath::kTwoCopy: {
@@ -276,9 +259,7 @@ void ClicModule::prepare_packet_data(Packet& packet,
       node_->mem().copy_pressure(n);
       node_->mem().copy_pressure(n);
       packet.sg_fragments = 1;
-      cpu.run(sim::CpuPriority::kKernel, 2 * cpu.copy_cost(n),
-              std::move(next));
-      return;
+      return 2 * cpu.copy_cost(n);
     }
 
     case TxPath::kDirectPio: {
@@ -290,10 +271,10 @@ void ClicModule::prepare_packet_data(Packet& packet,
       const sim::SimTime pio_time =
           node_->pci().transaction_time(wire, /*efficiency=*/0.15);
       node_->pci().transfer(pio_time);
-      cpu.run(sim::CpuPriority::kKernel, pio_time, std::move(next));
-      return;
+      return pio_time;
     }
   }
+  return 0;
 }
 
 void ClicModule::emit_data(int peer, Packet& packet) {
@@ -390,14 +371,7 @@ void ClicModule::send_intra_node(int src_port, int dst_port,
               m.data = std::move(data);
               ++messages_received_;
               bytes_received_ += m.data.size();
-              if (m.type == PacketType::kRemoteWrite) {
-                finish_remote_write(std::move(m), sim::CpuPriority::kKernel);
-              } else if (m.type == PacketType::kKernelFn) {
-                auto fit = kernel_fns_.find(m.dst_port);
-                if (fit != kernel_fns_.end()) fit->second(std::move(m));
-              } else {
-                deliver_message(std::move(m), sim::CpuPriority::kKernel);
-              }
+              dispatch(std::move(m), sim::CpuPriority::kKernel);
               kernel().syscall_return(
                   [result]() mutable { result.set({true}); });
             });
@@ -445,105 +419,37 @@ sim::Future<SendStatus> ClicModule::datagram_to(net::MacAddr dst,
 
   kernel().syscall([this, dst, src_port, dst_port, data = std::move(data),
                     meta = std::move(meta), result]() mutable {
-    const std::int64_t chunk = chunk_bytes();
-    struct State {
-      int dma_remaining = 0;
-    };
-    auto state = std::make_shared<State>();
-    // Fragment count: the first fragment's budget is reduced by the upper
-    // header; count conservatively by construction below.
-    state->dma_remaining = [&] {
-      std::int64_t off = 0;
-      int count = 0;
-      bool head = true;
-      do {
-        const std::int64_t budget =
-            head ? std::max<std::int64_t>(chunk - meta.wire_bytes(), 1)
-                 : chunk;
-        off += std::min(budget, data.size() - off);
-        head = false;
-        ++count;
-      } while (off < data.size());
-      return count;
-    }();
-
-    auto finish = [this, result]() mutable {
-      kernel().syscall_return([result]() mutable { result.set({true}); });
-    };
-
-    std::int64_t offset = 0;
-    bool first = true;
-    std::uint32_t seq = 0;
-    do {
-      // The upper-layer header rides on the first fragment and counts
-      // against its payload budget.
-      const std::int64_t budget =
-          first ? std::max<std::int64_t>(chunk - meta.wire_bytes(), 1)
-                : chunk;
-      const std::int64_t len = std::min(budget, data.size() - offset);
-      ClicHeader h;
-      h.type = PacketType::kBroadcast;
-      h.src_port = static_cast<std::uint8_t>(src_port);
-      h.dst_port = static_cast<std::uint8_t>(dst_port);
-      h.seq = seq++;
-      if (first) h.flags |= flags::kFirstFragment;
-      if (offset + len >= data.size()) h.flags |= flags::kLastFragment;
-
+    auto packets =
+        segment(PacketType::kBroadcast, src_port, dst_port, data, meta);
+    // No channel and no walk: every fragment goes to the driver at once,
+    // and the send completes when the last one's DMA does.
+    const auto msg = outgoing_.insert(
+        outgoing_.end(), Outgoing{{}, -1, SendMode::kSync, std::move(result)});
+    msg->walking = false;
+    msg->callbacks = static_cast<int>(packets.size());
+    for (auto& p : packets) {
       os::SkBuff skb;
       skb.dst = dst;
       skb.src = node_->mac(0);
       skb.ethertype = net::kEtherTypeClic;
-      const net::HeaderBlob upper = first ? meta : net::HeaderBlob{};
-      skb.header = net::HeaderBlob::of(WireHeader{h, upper},
-                                       kClicHeaderBytes + upper.wire_bytes());
-      skb.payload =
-          len > 0 ? data.slice(offset, len) : net::Buffer::zeros(0);
+      skb.header = net::HeaderBlob::of(
+          WireHeader{p.header, p.upper},
+          kClicHeaderBytes + p.upper.wire_bytes());
+      skb.payload = std::move(p.payload);
       skb.sg_fragments = node_->nic(0).profile().scatter_gather ? 2 : 1;
 
       node_->cpu().run(
           sim::CpuPriority::kKernel,
           config_.module_tx_cost + config_.driver_tx_cost,
-          [this, skb = std::move(skb), state, finish]() mutable {
-            node_->driver(0).xmit_or_queue(std::move(skb),
-                                           [state, finish]() mutable {
-                                             if (--state->dma_remaining == 0) {
-                                               finish();
-                                             }
-                                           });
+          [this, msg, skb = std::move(skb)]() mutable {
+            node_->driver(0).xmit_or_queue(std::move(skb), [this, msg] {
+              --msg->callbacks;
+              settle(msg);
+            });
           });
-      offset += len;
-      first = false;
-    } while (offset < data.size());
+    }
   });
   return result;
-}
-
-void ClicModule::handle_broadcast(int peer, const ClicHeader& header,
-                                  net::HeaderBlob upper, net::Buffer payload,
-                                  sim::CpuPriority prio) {
-  const std::uint64_t key = reassembly_key(peer, header.src_port,
-                                           header.dst_port, true);
-  auto& re = reassembly_[key];
-  if (header.flags & flags::kFirstFragment) {
-    re.chain.clear();
-    re.meta = std::move(upper);
-    re.copy.reset();
-    re.copied = 0;
-  }
-  re.chain.append(std::move(payload));
-  if (!(header.flags & flags::kLastFragment)) return;
-
-  Message m;
-  m.src_node = peer;
-  m.src_port = header.src_port;
-  m.dst_port = header.dst_port;
-  m.type = PacketType::kBroadcast;
-  m.meta = std::move(re.meta);
-  m.data = re.chain.flatten();
-  reassembly_.erase(key);
-  ++messages_received_;
-  bytes_received_ += m.data.size();
-  deliver_message(std::move(m), prio);
 }
 
 // --- Remote write ----------------------------------------------------------------
@@ -580,25 +486,6 @@ sim::Trigger& ClicModule::region_trigger(int region_id) {
   return *it->second.trigger;
 }
 
-void ClicModule::finish_remote_write(Message message,
-                                     sim::CpuPriority prio) {
-  auto it = regions_.find(message.dst_port);
-  if (it == regions_.end()) return;  // unregistered region: protection drop
-  Region& region = it->second;
-  if (region.data.size() + message.data.size() > region.capacity) return;
-
-  // The module moves the data straight into the registered user region —
-  // no receive call involved (step 7 of Figure 3).
-  const int region_id = message.dst_port;
-  node_->copy_data(prio, message.data.size(),
-                   [this, region_id, data = std::move(message.data)]() mutable {
-                     auto rit = regions_.find(region_id);
-                     if (rit == regions_.end()) return;
-                     rit->second.data.append(std::move(data));
-                     rit->second.trigger->fire();
-                   });
-}
-
 // --- Kernel functions ---------------------------------------------------------
 
 void ClicModule::register_kernel_fn(int fn_id,
@@ -621,8 +508,9 @@ void ClicModule::packet_received(net::Frame frame, bool from_isr) {
                     payload = std::move(frame.payload), prio]() mutable {
                      rx_prio_ = prio;
                      if (h.type == PacketType::kBroadcast) {
-                       handle_broadcast(peer, h, std::move(upper),
-                                        std::move(payload), prio);
+                       // Datagrams bypass the reliable channel.
+                       reassemble(peer, h, std::move(upper),
+                                  std::move(payload));
                        return;
                      }
                      channel(peer).packet_in(h, std::move(upper),
@@ -631,26 +519,36 @@ void ClicModule::packet_received(net::Frame frame, bool from_isr) {
 }
 
 void ClicModule::deliver(int peer, Packet packet) {
-  const std::int64_t frag_bytes = packet.payload.size();
-  bytes_received_ += frag_bytes;
-  const std::uint64_t key = reassembly_key(peer, packet.header.src_port,
-                                           packet.header.dst_port, false);
+  reassemble(peer, packet.header, std::move(packet.upper),
+             std::move(packet.payload));
+}
+
+void ClicModule::reassemble(int peer, const ClicHeader& header,
+                            net::HeaderBlob upper, net::Buffer payload) {
+  // Channel traffic arrives in order and complete, so its bytes count per
+  // fragment; a datagram counts only once whole (nothing resends a lost
+  // fragment).
+  const bool reliable = header.type != PacketType::kBroadcast;
+  const std::int64_t frag_bytes = payload.size();
+  if (reliable) bytes_received_ += frag_bytes;
+  const std::uint64_t key =
+      reassembly_key(peer, header.src_port, header.dst_port, !reliable);
   auto& re = reassembly_[key];
-  if (packet.header.flags & flags::kFirstFragment) {
+  if (header.flags & flags::kFirstFragment) {
     re.chain.clear();
-    re.meta = std::move(packet.upper);
+    re.meta = std::move(upper);
     re.copy.reset();
     re.copied = 0;
   }
-  re.chain.append(std::move(packet.payload));
+  re.chain.append(std::move(payload));
 
   // If a process is already blocked in recv on this port, the module copies
-  // each packet straight to its user memory as it arrives — the copy then
-  // overlaps the DMA of later packets.
-  const bool to_port = packet.header.type != PacketType::kRemoteWrite &&
-                       packet.header.type != PacketType::kKernelFn;
+  // each channel packet straight to its user memory as it arrives — the
+  // copy then overlaps the DMA of later packets.
+  const bool to_port = reliable && header.type != PacketType::kRemoteWrite &&
+                       header.type != PacketType::kKernelFn;
   if (to_port && frag_bytes > 0) {
-    auto pit = ports_.find(packet.header.dst_port);
+    auto pit = ports_.find(header.dst_port);
     if (pit != ports_.end() && !pit->second.waiting.empty()) {
       if (!re.copy) {
         re.copy = std::make_shared<os::CopyChain>(*node_, rx_prio_);
@@ -660,39 +558,53 @@ void ClicModule::deliver(int peer, Packet packet) {
     }
   }
 
-  if (!(packet.header.flags & flags::kLastFragment)) return;
+  if (!(header.flags & flags::kLastFragment)) return;
 
   Message m;
   m.src_node = peer;
-  m.src_port = packet.header.src_port;
-  m.dst_port = packet.header.dst_port;
-  m.type = packet.header.type;
+  m.src_port = header.src_port;
+  m.dst_port = header.dst_port;
+  m.type = header.type;
   m.meta = std::move(re.meta);
   m.data = re.chain.flatten();
   auto copy = std::move(re.copy);
   const std::int64_t copied = re.copied;
   reassembly_.erase(key);
   ++messages_received_;
-
-  switch (m.type) {
-    case PacketType::kRemoteWrite:
-      finish_remote_write(std::move(m), rx_prio_);
-      return;
-    case PacketType::kKernelFn: {
-      auto it = kernel_fns_.find(m.dst_port);
-      if (it != kernel_fns_.end()) it->second(std::move(m));
-      return;
-    }
-    default:
-      deliver_message(std::move(m), rx_prio_, std::move(copy), copied);
-  }
+  if (!reliable) bytes_received_ += m.data.size();
+  dispatch(std::move(m), rx_prio_, std::move(copy), copied);
 }
 
-// --- Port delivery / receive --------------------------------------------------
+// --- Dispatch / receive ---------------------------------------------------------
 
-void ClicModule::deliver_message(Message message, sim::CpuPriority prio,
-                                 std::shared_ptr<os::CopyChain> chain,
-                                 std::int64_t copied) {
+void ClicModule::dispatch(Message message, sim::CpuPriority prio,
+                          std::shared_ptr<os::CopyChain> chain,
+                          std::int64_t copied) {
+  if (message.type == PacketType::kRemoteWrite) {
+    auto it = regions_.find(message.dst_port);
+    if (it == regions_.end()) return;  // unregistered region: protection drop
+    Region& region = it->second;
+    if (region.data.size() + message.data.size() > region.capacity) return;
+
+    // The module moves the data straight into the registered user region —
+    // no receive call involved (step 7 of Figure 3).
+    const int region_id = message.dst_port;
+    node_->copy_data(
+        prio, message.data.size(),
+        [this, region_id, data = std::move(message.data)]() mutable {
+          auto rit = regions_.find(region_id);
+          if (rit == regions_.end()) return;
+          rit->second.data.append(std::move(data));
+          rit->second.trigger->fire();
+        });
+    return;
+  }
+  if (message.type == PacketType::kKernelFn) {
+    auto it = kernel_fns_.find(message.dst_port);
+    if (it != kernel_fns_.end()) it->second(std::move(message));
+    return;
+  }
+
   auto it = ports_.find(message.dst_port);
   if (it == ports_.end()) {
     CLICSIM_LOG(sim(), sim::LogLevel::kDebug, "clic")

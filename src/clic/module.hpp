@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <unordered_map>
 
@@ -163,6 +164,22 @@ class ClicModule : public os::ProtocolHandler, private ChannelOps {
     std::unique_ptr<sim::Trigger> trigger;
   };
 
+  // One message on its way out. send() walks its fragments through the
+  // module one at a time; a datagram emits them all at once. The message is
+  // freed once its walk ended and every DMA or ack callback it handed out
+  // came back.
+  struct Outgoing {
+    std::deque<Packet> packets;  // fragments still to walk
+    int dst_node = -1;
+    SendMode mode = SendMode::kAsync;
+    sim::Future<SendStatus> result;
+    int callbacks = 0;      // DMA or ack callbacks not yet fired
+    bool walking = true;
+    bool aborted = false;   // the channel gave up on a fragment
+    bool finished = false;  // result already resolved
+  };
+  using OutgoingIt = std::list<Outgoing>::iterator;
+
   // ChannelOps
   void emit_data(int peer, Packet& packet) override;
   void emit_ack(int peer, const ClicHeader& header) override;
@@ -174,29 +191,37 @@ class ClicModule : public os::ProtocolHandler, private ChannelOps {
   PortState& port_state(int port);
   [[nodiscard]] std::int64_t chunk_bytes() const;
 
-  // Charges the per-packet TX-path cost (Figure 1) and prepares `packet`'s
-  // copy semantics, then runs `next` (still in kernel context).
-  void prepare_packet_data(Packet& packet, std::function<void()> next);
+  // Splits `data` into wire-MTU fragments, numbered from 0; the first one
+  // carries `meta`.
+  [[nodiscard]] std::deque<Packet> segment(PacketType type, int src_port,
+                                           int dst_port,
+                                           const net::Buffer& data,
+                                           const net::HeaderBlob& meta) const;
 
-  void send_packets(int dst_node, std::deque<Packet> packets, SendMode mode,
-                    sim::Future<SendStatus> result);
+  // Prepares `packet`'s copy semantics (Figure 1) and returns the CPU time
+  // the chosen TX path costs.
+  [[nodiscard]] sim::SimTime prepare_packet_data(Packet& packet);
+
+  void walk(OutgoingIt msg);
+  void hand_to_channel(OutgoingIt msg);
+  void settle(OutgoingIt msg);
+  void resolve(Outgoing& msg, bool ok);
+
   sim::Future<SendStatus> datagram_to(net::MacAddr dst, int src_port,
                                       int dst_port, net::Buffer data,
                                       net::HeaderBlob meta);
   void send_intra_node(int src_port, int dst_port, net::Buffer data,
                        PacketType type, net::HeaderBlob meta,
                        sim::Future<SendStatus> result);
-  void deliver_message(Message message, sim::CpuPriority prio,
-                       std::shared_ptr<os::CopyChain> chain = nullptr,
-                       std::int64_t copied = 0);
+  void reassemble(int peer, const ClicHeader& header, net::HeaderBlob upper,
+                  net::Buffer payload);
+  void dispatch(Message message, sim::CpuPriority prio,
+                std::shared_ptr<os::CopyChain> chain = nullptr,
+                std::int64_t copied = 0);
   void complete_recv(sim::Future<Message> future, Message message,
                      sim::CpuPriority prio, bool wake_process,
                      std::shared_ptr<os::CopyChain> chain = nullptr,
                      std::int64_t copied = 0);
-  void handle_broadcast(int peer, const ClicHeader& header,
-                        net::HeaderBlob upper, net::Buffer payload,
-                        sim::CpuPriority prio);
-  void finish_remote_write(Message message, sim::CpuPriority prio);
 
   os::Node* node_;
   Config config_;
@@ -218,6 +243,7 @@ class ClicModule : public os::ProtocolHandler, private ChannelOps {
   std::unordered_map<std::uint64_t, Reassembly> reassembly_;
   std::unordered_map<int, Region> regions_;
   std::unordered_map<int, std::function<void(Message)>> kernel_fns_;
+  std::list<Outgoing> outgoing_;
 
   int rr_nic_ = 0;
   sim::CpuPriority rx_prio_ = sim::CpuPriority::kSoftirq;

@@ -9,21 +9,6 @@
 
 namespace clicsim::sim {
 
-void Summary::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double Summary::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double Summary::stddev() const { return std::sqrt(variance()); }
-
 HdrHistogram::HdrHistogram(int significant_digits, std::int64_t max_trackable)
     : sig_digits_(significant_digits), max_trackable_(max_trackable) {
   if (significant_digits < 1 || significant_digits > 5) {

@@ -11,8 +11,8 @@
 //
 // Synchronization primitives:
 //   Trigger  — multi-waiter pulse; fire() wakes every current waiter.
-//   Gate     — latched trigger; once open(), waiters pass immediately.
 //   Mailbox  — typed FIFO queue with awaitable pop().
+//   Future   — single-value handoff from model callbacks to a coroutine.
 //
 // Waiter resumption always goes through the event queue (at now()+0), never
 // inline, so firing a trigger from arbitrary model code cannot reenter the
@@ -92,40 +92,6 @@ class Trigger {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
-// Latched event: once open, all present and future waiters pass through.
-class Gate {
- public:
-  explicit Gate(Simulator& sim) : sim_(&sim) {}
-  Gate(const Gate&) = delete;
-  Gate& operator=(const Gate&) = delete;
-
-  struct Awaiter {
-    Gate& g;
-    bool await_ready() const noexcept { return g.open_; }
-    void await_suspend(std::coroutine_handle<> h) { g.waiters_.push_back(h); }
-    void await_resume() const noexcept {}
-  };
-
-  [[nodiscard]] Awaiter wait() noexcept { return Awaiter{*this}; }
-
-  void open() {
-    if (open_) return;
-    open_ = true;
-    std::vector<std::coroutine_handle<>> woken;
-    woken.swap(waiters_);
-    for (auto h : woken) sim_->after(0, [h] { h.resume(); });
-  }
-
-  [[nodiscard]] bool is_open() const noexcept { return open_; }
-
- private:
-  friend struct Awaiter;
-
-  Simulator* sim_;
-  std::vector<std::coroutine_handle<>> waiters_;
-  bool open_ = false;
-};
-
 // Typed FIFO with awaitable pop(). A push() hands its value directly to the
 // oldest waiter (if any); otherwise the value queues. Direct handoff avoids
 // the wake/steal race between a woken waiter and a concurrent ready pop.
@@ -167,14 +133,6 @@ class Mailbox {
   };
 
   [[nodiscard]] PopAwaiter pop() noexcept { return PopAwaiter{*this, {}, {}}; }
-
-  // Non-blocking variant; empty optional when nothing is queued.
-  std::optional<T> try_pop() {
-    if (queue_.empty()) return std::nullopt;
-    T v = std::move(queue_.front());
-    queue_.pop_front();
-    return v;
-  }
 
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
   [[nodiscard]] bool empty() const { return queue_.empty(); }
@@ -225,59 +183,5 @@ class Future {
  private:
   std::shared_ptr<State> state_;
 };
-
-// N-party rendezvous: the first (parties-1) arrivals park; the last one
-// releases everybody. Reusable across rounds (a generation counter keeps
-// late wakers from consuming the next round).
-class Barrier {
- public:
-  Barrier(Simulator& sim, int parties)
-      : sim_(&sim), parties_(parties), trigger_(sim) {}
-
-  struct Awaiter {
-    Trigger::Awaiter inner;
-    bool release_now;
-    bool await_ready() const noexcept { return release_now; }
-    void await_suspend(std::coroutine_handle<> h) { inner.await_suspend(h); }
-    void await_resume() const noexcept {}
-  };
-
-  [[nodiscard]] Awaiter arrive_and_wait() {
-    if (++arrived_ >= parties_) {
-      arrived_ = 0;
-      trigger_.fire();
-      return Awaiter{trigger_.wait(), true};
-    }
-    return Awaiter{trigger_.wait(), false};
-  }
-
-  [[nodiscard]] int waiting() const {
-    return static_cast<int>(trigger_.waiter_count());
-  }
-
- private:
-  Simulator* sim_;
-  int parties_;
-  int arrived_ = 0;
-  Trigger trigger_;
-};
-
-namespace detail {
-template <typename T>
-Task await_all(std::vector<Future<T>> futures, Future<bool> done) {
-  for (auto& f : futures) (void)co_await f;
-  done.set(true);
-}
-}  // namespace detail
-
-// Completes once every future in the set has a value — MPI_Waitall for a
-// burst of nonblocking operations (our Futures double as requests).
-template <typename T>
-[[nodiscard]] Future<bool> when_all(Simulator& sim,
-                                    std::vector<Future<T>> futures) {
-  Future<bool> done(sim);
-  detail::await_all(std::move(futures), done);
-  return done;
-}
 
 }  // namespace clicsim::sim

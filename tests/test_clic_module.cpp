@@ -375,5 +375,179 @@ TEST(ClicModule, JumboSenderStandardReceiverLosesFrames) {
   EXPECT_EQ(bed.module(1).messages_received(), 0u);
 }
 
+// --- Pinned message paths -------------------------------------------------------------
+//
+// Each path of a message (segmentation, reassembly, type dispatch, the
+// per-message send state) is pinned here, including the exact finish time
+// and event count of two multi-fragment runs: CLIC timing is the product
+// of the module's CPU call sequence, so any reordering shows up as a
+// changed figure.
+
+TEST(ClicModule, IntraNodeRemoteWriteLandsInRegion) {
+  ClicBed bed;
+  bed.module(0).register_region(7, 1 << 20);
+  net::Buffer data = net::Buffer::pattern(30000, 5);
+  bool done = false;
+  struct Run {
+    static sim::Task go(clic::ClicModule& m, net::Buffer d, bool* done) {
+      auto st = co_await m.remote_write(/*dst_node=*/0, 7, std::move(d));
+      EXPECT_TRUE(st.ok);
+      *done = true;
+    }
+  };
+  Run::go(bed.module(0), data, &done);
+  bed.sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(bed.module(0).intra_node_messages(), 1u);
+  EXPECT_EQ(bed.module(0).region_bytes(7), 30000);
+  EXPECT_TRUE(bed.module(0).region_contents(7).content_equals(data));
+}
+
+TEST(ClicModule, IntraNodeKernelFunctionInvokesHandler) {
+  ClicBed bed;
+  int invoked = 0;
+  int src_node = -1;
+  std::int64_t got_bytes = 0;
+  bed.module(0).register_kernel_fn(12, [&](clic::Message m) {
+    ++invoked;
+    src_node = m.src_node;
+    got_bytes = m.data.size();
+  });
+  struct Run {
+    static sim::Task go(clic::ClicModule& m) {
+      auto st = co_await m.send(0, /*dst_node=*/0, 12,
+                                net::Buffer::zeros(700),
+                                clic::SendMode::kSync,
+                                clic::PacketType::kKernelFn);
+      EXPECT_TRUE(st.ok);
+    }
+  };
+  Run::go(bed.module(0));
+  bed.sim.run();
+  EXPECT_EQ(invoked, 1);
+  EXPECT_EQ(src_node, 0);
+  EXPECT_EQ(got_bytes, 700);
+  EXPECT_EQ(bed.module(0).messages_received(), 1u);
+}
+
+struct PinnedEnvelope {
+  int tag = 0;
+};
+
+TEST(ClicModule, PinnedThreeFragmentBroadcastWithUpperHeader) {
+  os::ClusterConfig cc;
+  cc.nodes = 4;
+  ClicBed bed(cc);
+  bed.cluster.set_mtu_all(1500);
+  for (int i = 0; i < 4; ++i) bed.module(i).bind_port(9);
+  // 1488-byte fragments, the first shrunk by the 40-byte upper header:
+  // 1448 + 1488 + 1064 = 4000 bytes in three fragments.
+  net::Buffer payload = net::Buffer::pattern(4000, 8);
+  sim::SimTime sent_at = 0;
+
+  struct Run {
+    static sim::Task tx(ClicBed& bed, net::Buffer d, sim::SimTime* out) {
+      auto st = co_await bed.module(1).broadcast(
+          9, 9, std::move(d), net::HeaderBlob::of(PinnedEnvelope{77}, 40));
+      EXPECT_TRUE(st.ok);
+      *out = bed.sim.now();
+    }
+    static sim::Task rx(clic::ClicModule& m, net::Buffer expect, int* ok) {
+      clic::Message got = co_await m.recv(9);
+      const auto* env = got.meta.get<PinnedEnvelope>();
+      if (got.data.content_equals(expect) && got.src_node == 1 &&
+          env != nullptr && env->tag == 77 && got.meta.wire_bytes() == 40) {
+        ++*ok;
+      }
+    }
+  };
+  int ok = 0;
+  Run::tx(bed, payload, &sent_at);
+  for (int i = 0; i < 4; ++i) {
+    if (i != 1) Run::rx(bed.module(i), payload, &ok);
+  }
+  bed.sim.run();
+  EXPECT_EQ(ok, 3);
+  EXPECT_EQ(bed.cluster.link(1).frames_sent(0), 3u);
+  EXPECT_EQ(sent_at, 70337);
+  EXPECT_EQ(bed.sim.now(), 134599);
+  EXPECT_EQ(bed.sim.events_executed(), 147u);
+}
+
+TEST(ClicModule, PinnedMultiFragmentSyncSend) {
+  ClicBed bed;
+  bed.cluster.set_mtu_all(1500);
+  bed.module(0).bind_port(5);
+  bed.module(1).bind_port(5);
+  net::Buffer payload = net::Buffer::pattern(10240, 17);
+  sim::SimTime sent_at = 0;
+  clic::Message got;
+  struct Run {
+    static sim::Task tx(ClicBed& bed, net::Buffer d, sim::SimTime* out) {
+      auto st = co_await bed.module(0).send(5, 1, 5, std::move(d),
+                                            clic::SendMode::kSync);
+      EXPECT_TRUE(st.ok);
+      *out = bed.sim.now();
+    }
+  };
+  // The receive is posted first, so fragments are copied to user memory
+  // as they arrive.
+  recv_one(bed.module(1), 5, &got);
+  Run::tx(bed, payload, &sent_at);
+  bed.sim.run();
+  EXPECT_TRUE(got.data.content_equals(payload));
+  EXPECT_EQ(bed.module(1).bytes_received(), 10240);
+  EXPECT_EQ(sent_at, 166768);
+  EXPECT_EQ(bed.sim.now(), 2883584);
+  EXPECT_EQ(bed.sim.events_executed(), 197u);
+}
+
+TEST(ClicModule, ConfirmedSendIntoBlackHoleAbortsTheRestOfTheMessage) {
+  // A tiny retry budget gives up on the first fragments while later ones
+  // are still being prepared (two copies per fragment make the walk slow).
+  clic::Config cfg;
+  cfg.tx_path = clic::TxPath::kTwoCopy;
+  cfg.rto = sim::microseconds(20.0);
+  cfg.rto_backoff = 1.0;
+  cfg.max_retries = 2;
+  ClicBed bed({}, cfg);
+  bed.cluster.set_mtu_all(1500);
+  bed.module(0).bind_port(5);
+  bed.module(1).bind_port(5);
+  bed.cluster.link(0).faults(0).set_drop_probability(1.0);
+
+  int resolved = 0;
+  clic::SendError error = clic::SendError::kNone;
+  sim::SimTime resolved_at = 0;
+  struct Run {
+    static sim::Task go(ClicBed& bed, int* resolved, clic::SendError* error,
+                        sim::SimTime* at) {
+      auto st = co_await bed.module(0).send(5, 1, 5,
+                                            net::Buffer::zeros(1 << 20),
+                                            clic::SendMode::kConfirmed);
+      ++*resolved;
+      *error = st.error;
+      *at = bed.sim.now();
+      // Heal the path long after the abandoned fragments gave up but well
+      // before an unstopped walk would have finished: any fragment handed
+      // to the channel after the abort would now reach the peer.
+      co_await sim::Delay{bed.sim, sim::microseconds(500.0)};
+      bed.cluster.link(0).faults(0).set_drop_probability(0.0);
+    }
+  };
+  Run::go(bed, &resolved, &error, &resolved_at);
+  bed.sim.run_until(sim::seconds(1));
+
+  EXPECT_EQ(resolved, 1);
+  EXPECT_EQ(error, clic::SendError::kTimedOut);
+  EXPECT_LT(resolved_at, sim::milliseconds(1.0));
+  EXPECT_EQ(bed.module(1).channel_to(0), nullptr);  // nothing ever arrived
+  EXPECT_EQ(bed.module(1).messages_received(), 0u);
+  auto* ch = bed.module(0).channel_to(1);
+  ASSERT_NE(ch, nullptr);
+  EXPECT_EQ(ch->in_flight(), 0);
+  EXPECT_EQ(ch->pending(), 0u);
+}
+
 }  // namespace
 }  // namespace clicsim

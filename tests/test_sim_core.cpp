@@ -152,24 +152,6 @@ TEST(Coroutines, TriggerDoesNotWakeLateWaiters) {
   EXPECT_FALSE(woken);
 }
 
-TEST(Coroutines, GateIsLatched) {
-  Simulator sim;
-  Gate gate(sim);
-  int passed = 0;
-  auto waiter = [](Gate& g, int& count) -> Task {
-    co_await g.wait();
-    ++count;
-  };
-  waiter(gate, passed);
-  sim.after(10, [&] { gate.open(); });
-  sim.run();
-  EXPECT_EQ(passed, 1);
-  // A waiter arriving after open passes straight through.
-  waiter(gate, passed);
-  sim.run();
-  EXPECT_EQ(passed, 2);
-}
-
 TEST(Coroutines, MailboxDeliversInFifoOrder) {
   Simulator sim;
   Mailbox<int> box(sim);
@@ -202,16 +184,6 @@ TEST(Coroutines, MailboxHandsOffDirectlyToWaiters) {
   sim.run();
   EXPECT_EQ(a, 1);
   EXPECT_EQ(b, 2);
-}
-
-TEST(Coroutines, MailboxTryPop) {
-  Simulator sim;
-  Mailbox<int> box(sim);
-  EXPECT_FALSE(box.try_pop().has_value());
-  box.push(7);
-  auto v = box.try_pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
 }
 
 TEST(Coroutines, FutureDeliversValueSetBeforeAndAfterAwait) {
@@ -337,16 +309,6 @@ TEST(Rng, BernoulliRoughlyFair) {
 }
 
 // --- Stats -------------------------------------------------------------------------
-
-TEST(Stats, SummaryMoments) {
-  Summary s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.01);
-}
 
 TEST(Stats, SeriesInterpolationAndThresholds) {
   Series s("bw");

@@ -1,4 +1,4 @@
-// Barrier and port-lifecycle primitives added on top of the core engine.
+// Port-lifecycle primitives of CLIC_MODULE: unbind and rebind.
 #include <gtest/gtest.h>
 
 #include "apps/testbed.hpp"
@@ -6,46 +6,6 @@
 
 namespace clicsim {
 namespace {
-
-TEST(Barrier, ReleasesOnlyWhenAllArrive) {
-  sim::Simulator sim;
-  sim::Barrier barrier(sim, 3);
-  std::vector<sim::SimTime> released;
-
-  auto party = [](sim::Simulator& s, sim::Barrier& b, sim::SimTime arrive,
-                  std::vector<sim::SimTime>* out) -> sim::Task {
-    co_await sim::Delay{s, arrive};
-    co_await b.arrive_and_wait();
-    out->push_back(s.now());
-  };
-  party(sim, barrier, 10, &released);
-  party(sim, barrier, 50, &released);
-  party(sim, barrier, 200, &released);
-  sim.run();
-
-  ASSERT_EQ(released.size(), 3u);
-  for (auto t : released) EXPECT_GE(t, 200);
-}
-
-TEST(Barrier, IsReusableAcrossRounds) {
-  sim::Simulator sim;
-  sim::Barrier barrier(sim, 2);
-  int rounds_a = 0;
-  int rounds_b = 0;
-  auto party = [](sim::Simulator& s, sim::Barrier& b, sim::SimTime pace,
-                  int* rounds) -> sim::Task {
-    for (int i = 0; i < 5; ++i) {
-      co_await sim::Delay{s, pace};
-      co_await b.arrive_and_wait();
-      ++*rounds;
-    }
-  };
-  party(sim, barrier, 10, &rounds_a);
-  party(sim, barrier, 35, &rounds_b);
-  sim.run();
-  EXPECT_EQ(rounds_a, 5);
-  EXPECT_EQ(rounds_b, 5);
-}
 
 TEST(PortLifecycle, UnbindDropsQueuedAndFutureTraffic) {
   apps::ClicBed bed;
