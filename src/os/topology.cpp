@@ -264,18 +264,51 @@ void TopologyPlan::check_flood_tree() const {
 // Self-check: walk every (switch, node) static route to the owning leaf.
 // Guards the route/wiring tables against drift — a broken entry here means
 // a 1024-node run would silently fall back to unknown-unicast flooding.
+// The walk reads a (switch, port) -> peer-switch index built once from the
+// trunk list, so it costs one load per hop: O(switches x nodes x hops).
 void TopologyPlan::check_reachability() const {
+  // CSR over ports_of(s): switch s's ports occupy peer[first[s] ..
+  // first[s + 1]); -1 marks a port that carries no trunk.
+  std::vector<std::size_t> first(static_cast<std::size_t>(switches()) + 1, 0);
+  for (int s = 0; s < switches(); ++s) {
+    first[static_cast<std::size_t>(s) + 1] =
+        first[static_cast<std::size_t>(s)] +
+        static_cast<std::size_t>(ports_of(s));
+  }
+  std::vector<int> peer(first.back(), -1);
+  auto peer_of = [&](int sw, int port) -> int& {
+    return peer[first[static_cast<std::size_t>(sw)] +
+                static_cast<std::size_t>(port)];
+  };
+  auto claim = [&](int sw, int port, int other) {
+    if (port < 0 || port >= ports_of(sw)) {
+      std::ostringstream msg;
+      msg << "trunk end " << switch_name(sw) << " port " << port
+          << " is outside its " << ports_of(sw) << " ports";
+      fail(msg.str());
+    }
+    int& slot = peer_of(sw, port);
+    if (slot != -1) {
+      std::ostringstream msg;
+      msg << switch_name(sw) << " port " << port
+          << " is claimed by two trunk ends (to " << switch_name(slot)
+          << " and " << switch_name(other) << ")";
+      fail(msg.str());
+    }
+    slot = other;
+  };
+  for (const TrunkEdge& e : trunks_) {
+    claim(e.a, e.a_port, e.b);
+    claim(e.b, e.b_port, e.a);
+  }
+
   for (int s = 0; s < switches(); ++s) {
     for (int n = 0; n < nodes_; ++n) {
       int cur = s;
       int hops = 0;
-      while (route(cur, n) != -1) {
-        const int out = route(cur, n);
-        int next = -1;
-        for (const TrunkEdge& e : trunks_) {
-          if (e.a == cur && e.a_port == out) next = e.b;
-          if (e.b == cur && e.b_port == out) next = e.a;
-        }
+      for (int out = route(cur, n); out != -1; out = route(cur, n)) {
+        const int next =
+            out < 0 || out >= ports_of(cur) ? -1 : peer_of(cur, out);
         if (next < 0) {
           std::ostringstream msg;
           msg << "route from " << switch_name(cur) << " to node " << n

@@ -6,6 +6,7 @@
 // against a spine uplink.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -100,6 +101,102 @@ TEST(TopologyPlan, FloodTreePrunesExactlyTheNonTreeTrunks) {
   for (const os::TrunkEdge& e : ls.trunks()) {
     EXPECT_EQ(e.on_flood_tree, e.b == ls.leaves()) << "trunk to switch " << e.b;
   }
+}
+
+// Result of walking every static route of a plan from outside the class.
+struct RouteWalk {
+  std::string broken;  // first failed walk, empty when all reach the owner
+  int max_hops = 0;
+};
+
+// Walks plan.route(s, n) hop by hop through plan.trunks(), the wiring the
+// Cluster builder executes, for every (switch, node) pair.
+RouteWalk walk_every_route(const os::TopologyPlan& plan) {
+  // peer[s][port]: the switch on the far end of that port's trunk, or -1.
+  std::vector<std::vector<int>> peer;
+  for (int s = 0; s < plan.switches(); ++s) {
+    peer.emplace_back(static_cast<std::size_t>(plan.ports_of(s)), -1);
+  }
+  auto peer_of = [&peer](int s, int port) -> int& {
+    return peer.at(static_cast<std::size_t>(s))
+        .at(static_cast<std::size_t>(port));
+  };
+  for (const os::TrunkEdge& e : plan.trunks()) {
+    peer_of(e.a, e.a_port) = e.b;
+    peer_of(e.b, e.b_port) = e.a;
+  }
+  RouteWalk walk;
+  for (int s = 0; s < plan.switches(); ++s) {
+    for (int n = 0; n < plan.nodes(); ++n) {
+      auto from = [&] {
+        return plan.switch_name(s) + " to node " + std::to_string(n);
+      };
+      int cur = s;
+      int hops = 0;
+      for (int out = plan.route(cur, n); out != -1; out = plan.route(cur, n)) {
+        if (out < 0 || out >= plan.ports_of(cur) || peer_of(cur, out) < 0) {
+          walk.broken = from() + ": no trunk on port " + std::to_string(out);
+          return walk;
+        }
+        cur = peer_of(cur, out);
+        if (++hops > plan.switches()) {
+          walk.broken = from() + ": loops";
+          return walk;
+        }
+      }
+      if (cur != plan.leaf_of_node(n)) {
+        walk.broken = from() + ": ends at " + plan.switch_name(cur);
+        return walk;
+      }
+      walk.max_hops = std::max(walk.max_hops, hops);
+    }
+  }
+  return walk;
+}
+
+TEST(TopologyPlan, EveryStaticRouteReachesItsOwningLeaf) {
+  struct Case {
+    const char* name;
+    os::TopologySpec spec;
+    int nodes;
+    int nics_per_node;
+    int diameter;  // longest route, in trunk hops
+  };
+  const Case cases[] = {
+      {"single-star", os::TopologySpec::single_star(), 8, 1, 0},
+      {"ring of 5", os::TopologySpec::switch_ring(5), 13, 1, 2},
+      {"ring of 6", os::TopologySpec::switch_ring(6), 13, 1, 3},
+      {"leaf-spine 4x3", os::TopologySpec::leaf_spine(4, 3), 18, 1, 2},
+      {"fat-tree 1024", os::TopologySpec::fat_tree(), 1024, 1, 2},
+      {"leaf-spine 3x2, 2 NIC", os::TopologySpec::leaf_spine(3, 2), 12, 2, 2},
+      {"ring of 4, 2 NIC", os::TopologySpec::switch_ring(4), 10, 2, 2},
+      {"fat-tree, 2 NIC", os::TopologySpec::fat_tree(4), 16, 2, 2},
+  };
+  for (const Case& c : cases) {
+    const auto plan =
+        os::TopologyPlan::resolve(c.spec, c.nodes, c.nics_per_node);
+    const RouteWalk walk = walk_every_route(plan);
+    EXPECT_EQ(walk.broken, "") << c.name;
+    EXPECT_EQ(walk.max_hops, c.diameter) << c.name;
+  }
+}
+
+TEST(TopologyPlan, ResolvesA4096NodeFatTree) {
+  const auto plan =
+      os::TopologyPlan::resolve(os::TopologySpec::fat_tree(), 4096, 1);
+  EXPECT_EQ(plan.leaves(), 128);
+  EXPECT_EQ(plan.spines(), 32);  // 32 nodes per leaf, one uplink each
+  EXPECT_EQ(plan.trunks().size(), 4096u);
+  EXPECT_EQ(plan.ports_of(0), 64);     // 32 downlinks + 32 uplinks
+  EXPECT_EQ(plan.ports_of(128), 128);  // a spine reaches every leaf
+  // Node 4095 lives on leaf127 and is reached via spine 4095 % 32 = 31.
+  EXPECT_EQ(plan.leaf_of_node(4095), 127);
+  EXPECT_EQ(plan.route(0, 4095), 32 + 31);
+  EXPECT_EQ(plan.route(plan.leaves() + 31, 4095), 127);
+  EXPECT_EQ(plan.route(127, 4095), -1);
+  // Node 40 (leaf1) from leaf0 rides spine 8, which sends it down port 1.
+  EXPECT_EQ(plan.route(0, 40), 32 + 8);
+  EXPECT_EQ(plan.route(plan.leaves() + 8, 40), 1);
 }
 
 // --- Forwarding across trunk hops --------------------------------------------
