@@ -3,9 +3,13 @@
 // visible independently of the figure harness.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "apps/testbed.hpp"
+#include "hw/cpu.hpp"
 #include "net/buffer.hpp"
 #include "net/buffer_pool.hpp"
+#include "os/kernel.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -23,8 +27,8 @@ void BM_EventQueuePushPop(benchmark::State& state) {
       q.push((i * 7919) % 1000, [] {});
     }
     while (!q.empty()) {
-      auto ev = q.pop();
-      benchmark::DoNotOptimize(ev.time);
+      benchmark::DoNotOptimize(q.next_time());
+      q.run_earliest();
     }
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -87,6 +91,46 @@ void BM_ScheduleDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTotal);
 }
 BENCHMARK(BM_ScheduleDispatch)->Arg(64)->Arg(1024);
+
+// The CLIC RTO-restart pattern: every ack that advances a channel's window
+// cancels its 3 ms retransmission timer and arms a fresh one, so almost no
+// timer ever fires and the cost is arm + cancel + one plain (ack) event.
+// Acks arrive round-robin over `channels` channels, 1 us apart. Written
+// against os::Kernel's timer calls so the same source measures any engine
+// revision behind them.
+void BM_TimerRestartChurn(benchmark::State& state) {
+  const int channels = static_cast<int>(state.range(0));
+  static constexpr int kAcks = 1 << 16;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    hw::Cpu cpu(sim, hw::HostParams{}, "cpu");
+    os::Kernel kernel(sim, cpu);
+    std::vector<os::Kernel::TimerId> rto(static_cast<std::size_t>(channels),
+                                         os::Kernel::kInvalidTimer);
+    struct Ack {
+      sim::Simulator* sim;
+      os::Kernel* kernel;
+      std::vector<os::Kernel::TimerId>* rto;
+      int* remaining;
+      std::size_t channel;
+      void operator()() const {
+        os::Kernel::TimerId& timer = (*rto)[channel];
+        kernel->cancel_timer(timer);
+        timer = kernel->add_timer(sim::milliseconds(3), [] {});
+        if (--*remaining > 0) {
+          sim->after(1000, Ack{sim, kernel, rto, remaining,
+                               (channel + 1) % rto->size()});
+        }
+      }
+    };
+    int remaining = kAcks;
+    sim.after(1000, Ack{&sim, &kernel, &rto, &remaining, 0});
+    sim.run();
+    benchmark::DoNotOptimize(kernel.timer_wheel().fired());
+  }
+  state.SetItemsProcessed(state.iterations() * kAcks);
+}
+BENCHMARK(BM_TimerRestartChurn)->Arg(1)->Arg(64);
 
 // Pool traffic accumulated across every bed a sweep touches, surfaced as
 // benchmark counters: `allocs` is what the packet path still takes from

@@ -566,9 +566,10 @@ RpcResult fold_rpc(const RpcState& st, std::uint64_t events,
   }
   r.finished_at = finished;
   r.events = events;
-  // The digest certifies workload-visible outcomes only: engine event
-  // totals can differ by a no-op drain under retransmission storms at
-  // high shard counts while every latency and clock stays bit-identical.
+  // The digest certifies workload-visible outcomes only. Engine event
+  // totals are not shard-invariant under a fault campaign: a carrier
+  // outage on a link that crosses shards runs its fail and restore hooks
+  // as one event per shard-side part, where one shard runs one of each.
   sim::fnv1a(h, static_cast<std::uint64_t>(finished));
   r.digest = h;
   return r;

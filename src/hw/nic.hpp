@@ -35,7 +35,6 @@
 #include "sim/inline_function.hpp"
 #include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace clicsim::hw {
 
@@ -197,14 +196,13 @@ class Nic : public net::FrameSink {
   };
   sim::RingQueue<TxInFlight> tx_inflight_;
 
-  // Coalescing state. The hold-off timer lives on a wheel so re-arming
-  // after every interrupt does not strand tombstone events in the heap.
-  sim::TimerWheel coalesce_wheel_;
+  // Coalescing state. The hold-off timer is a cancellable event, disarmed
+  // whenever an interrupt fires before it.
   sim::SimTime coalesce_usecs_;
   int coalesce_frames_;
   int pending_frames_ = 0;
   sim::SimTime last_fire_ = -1;
-  sim::TimerWheel::TimerId coalesce_timer_ = sim::TimerWheel::kInvalidTimer;
+  sim::EventId coalesce_timer_ = sim::kNoEvent;
 
   // Firmware reassembly state.
   struct Reassembly {

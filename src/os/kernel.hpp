@@ -9,14 +9,13 @@
 #include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace clicsim::os {
 
 class Kernel {
  public:
   Kernel(sim::Simulator& sim, hw::Cpu& cpu)
-      : sim_(&sim), cpu_(&cpu), wheel_(sim) {}
+      : sim_(&sim), cpu_(&cpu) {}
 
   // --- Bottom halves -------------------------------------------------------
   // Queues `fn` to run in softirq context: after the ISR completes, the
@@ -27,19 +26,44 @@ class Kernel {
   [[nodiscard]] std::uint64_t bottom_halves_run() const { return bh_run_; }
 
   // --- Timers ---------------------------------------------------------------
-  // Backed by a hierarchical timer wheel: cancel_timer() destroys the
-  // closure in O(1) instead of leaving a tombstone event in the heap.
-  using TimerId = sim::TimerWheel::TimerId;
-  static constexpr TimerId kInvalidTimer = sim::TimerWheel::kInvalidTimer;
+  // Kernel timers are cancellable simulator events: cancel_timer() destroys
+  // the closure at once, and a cancelled timer never runs or moves the
+  // clock. `fn` is stored inline next to the kernel pointer, so it must
+  // leave 8 bytes of sim::Action's inline capacity free.
+  using TimerId = sim::EventId;
+  static constexpr TimerId kInvalidTimer = sim::kNoEvent;
 
-  TimerId add_timer(sim::SimTime delay, sim::Action fn) {
-    return wheel_.schedule(delay, std::move(fn));
+  template <typename F>
+  TimerId add_timer(sim::SimTime delay, F&& fn) {
+    ++timers_.pending_;
+    return sim_->after(delay, [this, fn = std::forward<F>(fn)]() mutable {
+      --timers_.pending_;
+      ++timers_.fired_;
+      fn();
+    });
   }
-  void cancel_timer(TimerId id) { wheel_.cancel(id); }
-  [[nodiscard]] bool timer_pending(TimerId id) const {
-    return wheel_.pending(id);
+  void cancel_timer(TimerId id) {
+    if (sim_->cancel(id)) {
+      --timers_.pending_;
+      ++timers_.cancelled_;
+    }
   }
-  [[nodiscard]] const sim::TimerWheel& timer_wheel() const { return wheel_; }
+
+  // Per-kernel timer tallies. The accessor keeps the name of the timer
+  // wheel that used to hold kernel timers, which perfbench's harness reads.
+  class TimerCounts {
+   public:
+    [[nodiscard]] std::uint64_t fired() const { return fired_; }
+    [[nodiscard]] std::uint64_t cancelled() const { return cancelled_; }
+    [[nodiscard]] std::size_t size() const { return pending_; }
+
+   private:
+    friend class Kernel;
+    std::uint64_t fired_ = 0;
+    std::uint64_t cancelled_ = 0;
+    std::size_t pending_ = 0;
+  };
+  [[nodiscard]] const TimerCounts& timer_wheel() const { return timers_; }
 
   // --- System calls ----------------------------------------------------------
   // Charges the kernel-entry cost (INT 80h path) at kernel priority, then
@@ -62,7 +86,7 @@ class Kernel {
 
   sim::Simulator* sim_;
   hw::Cpu* cpu_;
-  sim::TimerWheel wheel_;
+  TimerCounts timers_;
   sim::RingQueue<sim::Action> bh_queue_;  // recycled slots, no deque churn
   bool bh_scheduled_ = false;
   std::uint64_t bh_run_ = 0;

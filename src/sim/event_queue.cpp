@@ -1,36 +1,54 @@
 #include "sim/event_queue.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 namespace clicsim::sim {
 
 std::uint32_t EventQueue::acquire_slot_slow() {
-  if (slab_size_ > kSlotMask) {
+  const auto slot = static_cast<std::uint32_t>(ids_.size());
+  if (slot > kSlotMask) {
     throw std::length_error("EventQueue: more than 2^24 pending events");
   }
-  if ((slab_size_ >> kChunkBits) == chunks_.size()) {
+  if ((slot >> kChunkBits) == chunks_.size()) {
     chunks_.push_back(std::make_unique<Action[]>(kChunkSize));
   }
-  return slab_size_++;
+  ids_.push_back(kNoEvent);
+  return slot;
 }
 
-void EventQueue::do_push(SimTime t, std::uint64_t seq, Action action) {
-  const std::uint32_t slot = acquire_slot();
-  slot_ref(slot) = std::move(action);
-  insert_handle(t, seq, slot);
+bool EventQueue::cancel(EventId id) {
+  const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
+  if (id == kNoEvent || slot >= ids_.size() || ids_[slot] != id) return false;
+  ids_[slot] = kNoEvent;
+  ++dead_;
+  slot_ref(slot) = nullptr;  // the captures die now, not at the deadline
+  drop_dead();
+  return true;
 }
 
-EventQueue::Event EventQueue::pop() {
-  const Handle top = heap_[0];
-  const auto slot = static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-  Event ev{top.time, std::move(slot_ref(slot))};
-  free_.push_back(slot);
-
-  const Handle last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0, last);
-  return ev;
+void EventQueue::drop_dead() {
+  while (!heap_.empty() && is_dead(heap_[0])) {
+    free_.push_back(static_cast<std::uint32_t>(heap_[0].id & kSlotMask));
+    pop_top();
+    --dead_;
+  }
+  if (dead_ <= size() + kDeadSlack) return;
+  // Compact: keep the live handles, recycle the orphans' slots and heapify
+  // in place. The (time, seq) order is total, so the rebuilt heap pops in
+  // exactly the order the old one would have.
+  std::size_t n = 0;
+  for (const Handle& h : heap_) {
+    if (is_dead(h)) {
+      free_.push_back(static_cast<std::uint32_t>(h.id & kSlotMask));
+    } else {
+      heap_[n++] = h;
+    }
+  }
+  heap_.resize(n);
+  dead_ = 0;
+  for (std::size_t i = n > 1 ? (n - 2) / 4 + 1 : 0; i-- > 0;) {
+    sift_down(i, heap_[i]);
+  }
 }
 
 }  // namespace clicsim::sim

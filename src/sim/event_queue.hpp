@@ -1,4 +1,4 @@
-// Deterministic time-ordered event queue.
+// Deterministic time-ordered event queue with cancellation.
 //
 // Events scheduled for the same instant execute in insertion order (a
 // monotonically increasing sequence number breaks ties), which makes every
@@ -10,6 +10,15 @@
 // machine words per level instead of entries carrying a type-erased
 // callable, and slab slots are reused through a free list so a simulation
 // in steady state performs no allocation per event.
+//
+// Cancellation: the packed {seq|slot} word doubles as the event's id, and
+// each slot remembers the id it currently holds. cancel() destroys the
+// closure at once and forgets the id; the orphaned heap handle is dropped
+// when it reaches the top, and the heap is rebuilt without orphans once they
+// outnumber the live events (plus kDeadSlack), so protocol timers that are
+// restarted on every ack keep the queue bounded. The top of the heap is
+// always a live event, so a cancelled event never runs, never advances the
+// clock and is never seen by empty()/size()/next_time().
 #pragma once
 
 #include <cstdint>
@@ -21,55 +30,39 @@
 
 namespace clicsim::sim {
 
+// Identifies one scheduled event for cancel(); never reused within a queue.
+using EventId = std::uint64_t;
+inline constexpr EventId kNoEvent = 0;
+
 class EventQueue {
  public:
   using Action = sim::Action;
 
-  // Schedules `action` at absolute time `t`.
-  void push(SimTime t, Action action) { do_push(t, next_seq_++, std::move(action)); }
-
-  // Emplace variants: the callable is constructed directly in its slab
-  // slot, avoiding the intermediate InlineFunction materialization and
-  // relocation that the by-value `push` overloads pay per hand-off.
+  // Schedules `f` at absolute time `t`. The callable is constructed
+  // directly in its slab slot, so a lambda is never materialized as an
+  // intermediate Action and relocated.
   template <typename F>
-  void emplace(SimTime t, F&& f) {
-    emplace_reserved(t, next_seq_++, std::forward<F>(f));
-  }
-
-  template <typename F>
-  void emplace_reserved(SimTime t, std::uint64_t seq, F&& f) {
+  EventId push(SimTime t, F&& f) {
     const std::uint32_t slot = acquire_slot();
     slot_ref(slot) = std::forward<F>(f);
-    insert_handle(t, seq, slot);
+    const EventId id = (next_seq_++ << kSlotBits) | slot;
+    ids_[slot] = id;
+    heap_.emplace_back();  // hole; sift_up fills it
+    sift_up(heap_.size() - 1, Handle{t, id});
+    return id;
   }
 
-  // Draws the sequence number the next push would use without scheduling
-  // anything. The timer wheel reserves a sequence per timer at arm time and
-  // replays it through push_reserved at dispatch, so a timer fires with the
-  // same same-instant tie-break rank as a plain event scheduled when the
-  // timer was armed.
-  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
-
-  // Schedules `action` at `t` with a sequence from reserve_seq(). Each
-  // reserved sequence may be in the queue at most once at a time.
-  void push_reserved(SimTime t, std::uint64_t seq, Action action) {
-    do_push(t, seq, std::move(action));
-  }
+  // Destroys a pending event's closure so it never runs. Returns false when
+  // the event already ran (or is running) or was already cancelled.
+  bool cancel(EventId id);
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size() - dead_; }
 
   // Time of the earliest pending event; kNever when empty.
   [[nodiscard]] SimTime next_time() const {
     return heap_.empty() ? kNever : heap_[0].time;
   }
-
-  // Removes and returns the earliest event. Precondition: !empty().
-  struct Event {
-    SimTime time;
-    Action action;
-  };
-  Event pop();
 
   // Removes the earliest event and runs its callback *in place* in the
   // slab — the simulator's dispatch path. Skipping the move-out saves a
@@ -77,12 +70,12 @@ class EventQueue {
   // never move, so callbacks pushed from inside the running callback cannot
   // invalidate its storage. Precondition: !empty().
   void run_earliest() {
-    const Handle top = heap_[0];
-    const auto slot = static_cast<std::uint32_t>(top.seq_slot & kSlotMask);
-
-    const Handle last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0, last);
+    const auto slot = static_cast<std::uint32_t>(heap_[0].id & kSlotMask);
+    pop_top();
+    // The event's id is spent before it runs: cancelling it from inside its
+    // own callback (or later) reports false.
+    ids_[slot] = kNoEvent;
+    if (dead_ != 0) drop_dead();
 
     // The slot is recycled only after the callback returns, so a push from
     // inside the callback cannot overwrite the executing closure.
@@ -92,19 +85,22 @@ class EventQueue {
     free_.push_back(slot);
   }
 
-  // Total events ever pushed (for engine micro-benchmarks / diagnostics).
-  [[nodiscard]] std::uint64_t pushed() const { return next_seq_; }
+  // Slab slots ever created: the queue's storage high-water mark. Orphans
+  // keep their slot until dropped, so this stays within about
+  // 2 * size() + kDeadSlack however many events are cancelled.
+  [[nodiscard]] std::size_t slots() const { return ids_.size(); }
+  static constexpr std::size_t kDeadSlack = 64;
 
  private:
-  // 16-byte heap handle. The low kSlotBits of `seq_slot` address the slab
-  // slot holding the callback; the high bits carry the insertion sequence.
+  // 16-byte heap handle. The low kSlotBits of `id` address the slab slot
+  // holding the callback; the high bits carry the insertion sequence.
   // Sequence numbers are unique, so comparing the packed word compares the
   // sequence (slot bits can never decide), which keeps the same-time
   // tie-break a single integer comparison. The packing bounds one queue at
-  // 2^40 (~10^12) lifetime events and 2^24 concurrently pending ones.
+  // 2^40 (~10^12) lifetime events and 2^24 concurrently held slots.
   struct Handle {
     SimTime time;
-    std::uint64_t seq_slot;
+    EventId id;
   };
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
@@ -116,13 +112,12 @@ class EventQueue {
     // short-circuit form mispredicts on nearly every sift step; the folded
     // compare is a cmp/sbb pair with no branch at all.
     const auto ka = (static_cast<__int128>(a.time) << 64) |
-                    static_cast<unsigned __int128>(a.seq_slot);
+                    static_cast<unsigned __int128>(a.id);
     const auto kb = (static_cast<__int128>(b.time) << 64) |
-                    static_cast<unsigned __int128>(b.seq_slot);
+                    static_cast<unsigned __int128>(b.id);
     return ka < kb;
 #else
-    return a.time < b.time ||
-           (a.time == b.time && a.seq_slot < b.seq_slot);
+    return a.time < b.time || (a.time == b.time && a.id < b.id);
 #endif
   }
 
@@ -146,13 +141,22 @@ class EventQueue {
   }
   std::uint32_t acquire_slot_slow();  // grows the slab (cold path)
 
-  void do_push(SimTime t, std::uint64_t seq, Action action);
-
-  void insert_handle(SimTime t, std::uint64_t seq, std::uint32_t slot) {
-    const std::uint64_t seq_slot = (seq << kSlotBits) | slot;
-    heap_.emplace_back();  // hole; sift_up fills it
-    sift_up(heap_.size() - 1, Handle{t, seq_slot});
+  // A handle is live while its slot still holds its id. A cancelled
+  // event's slot is not recycled until its handle leaves the heap, so a
+  // mismatch can only mean "cancelled".
+  [[nodiscard]] bool is_dead(const Handle& h) const {
+    return ids_[h.id & kSlotMask] != h.id;
   }
+
+  void pop_top() {
+    const Handle last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0, last);
+  }
+
+  // Restores the invariants after a cancellation or a pop: the top handle
+  // is live, and orphans number at most size() + kDeadSlack.
+  void drop_dead();
 
   void sift_up(std::size_t i, Handle h) {
     Handle* a = heap_.data();
@@ -194,9 +198,10 @@ class EventQueue {
 
   std::vector<Handle> heap_;  // 4-ary min-heap of handles
   std::vector<std::unique_ptr<Action[]>> chunks_;  // slab, by slot
-  std::uint32_t slab_size_ = 0;       // slots handed out so far
-  std::vector<std::uint32_t> free_;   // recycled slab slots
-  std::uint64_t next_seq_ = 0;
+  std::vector<EventId> ids_;         // id held by each slot; kNoEvent if none
+  std::vector<std::uint32_t> free_;  // recycled slab slots
+  std::size_t dead_ = 0;             // cancelled handles still in heap_
+  std::uint64_t next_seq_ = 1;       // from 1, so no id equals kNoEvent
 };
 
 }  // namespace clicsim::sim

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/testbed.hpp"
+#include "apps/workloads.hpp"
 #include "sim/task.hpp"
 
 namespace clicsim {
@@ -471,7 +472,7 @@ TEST(ClicModule, PinnedThreeFragmentBroadcastWithUpperHeader) {
   EXPECT_EQ(bed.cluster.link(1).frames_sent(0), 3u);
   EXPECT_EQ(sent_at, 70337);
   EXPECT_EQ(bed.sim.now(), 134599);
-  EXPECT_EQ(bed.sim.events_executed(), 147u);
+  EXPECT_EQ(bed.sim.events_executed(), 135u);
 }
 
 TEST(ClicModule, PinnedMultiFragmentSyncSend) {
@@ -498,8 +499,38 @@ TEST(ClicModule, PinnedMultiFragmentSyncSend) {
   EXPECT_TRUE(got.data.content_equals(payload));
   EXPECT_EQ(bed.module(1).bytes_received(), 10240);
   EXPECT_EQ(sent_at, 166768);
-  EXPECT_EQ(bed.sim.now(), 2883584);
-  EXPECT_EQ(bed.sim.events_executed(), 197u);
+  EXPECT_EQ(bed.sim.now(), 273398);
+  EXPECT_EQ(bed.sim.events_executed(), 181u);
+}
+
+// A lone 100 KB send under the paper's fixed 3 ms retransmission clock:
+// the sender's RTO timer is restarted on every ack advance and never
+// fires, so the run must end on its last model event (the receiver's final
+// delayed ack), not on the deadline of a cancelled timer.
+TEST(ClicModule, CancelledTimersDoNotExtendTheRun) {
+  ClicBed bed({}, apps::paper_clic_config());
+  bed.module(0).bind_port(5);
+  bed.module(1).bind_port(5);
+  sim::SimTime received_at = -1;
+  struct Run {
+    static sim::Task rx(ClicBed& bed, sim::SimTime* at) {
+      (void)co_await bed.module(1).recv(5);
+      *at = bed.sim.now();
+    }
+  };
+  Run::rx(bed, &received_at);
+  send_one(bed.module(0), 5, 1, net::Buffer::zeros(100000),
+           clic::SendMode::kAsync, nullptr);
+  bed.sim.run();
+  EXPECT_EQ(received_at, 1457740);
+  const auto& sender_timers = bed.cluster.node(0).kernel().timer_wheel();
+  EXPECT_EQ(sender_timers.fired(), 0u);
+  EXPECT_EQ(sender_timers.cancelled(), 12u);
+  EXPECT_EQ(bed.cluster.node(1).kernel().timer_wheel().size(), 0u);
+  EXPECT_EQ(bed.sim.now(), 1534733);
+  EXPECT_LT(bed.sim.now(), received_at + bed.module(1).config().ack_delay +
+                               sim::microseconds(50.0));
+  EXPECT_EQ(bed.sim.events_executed(), 395u);
 }
 
 TEST(ClicModule, ConfirmedSendIntoBlackHoleAbortsTheRestOfTheMessage) {

@@ -22,7 +22,7 @@ TEST(EventQueue, OrdersByTime) {
   q.push(30, [&] { order.push_back(3); });
   q.push(10, [&] { order.push_back(1); });
   q.push(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().action();
+  while (!q.empty()) q.run_earliest();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -32,7 +32,7 @@ TEST(EventQueue, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 100; ++i) {
     q.push(42, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().action();
+  while (!q.empty()) q.run_earliest();
   for (int i = 0; i < 100; ++i) EXPECT_EQ(order[i], i);
 }
 
