@@ -1,7 +1,9 @@
 #include "apps/testbed.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
+#include <vector>
 
 namespace clicsim::apps {
 
@@ -78,10 +80,12 @@ MpiClicBed::MpiClicBed(os::ClusterConfig cluster_config,
     // same holds with NIC offload: engines only exchange frames.)
     : bed(std::move(cluster_config), clic_config) {
   const int n = bed.cluster.size();
-  std::vector<net::MacAddr> macs;
+  hw::NicCollectiveEngine::MacTable macs;
   if (nic_collectives) {
-    macs.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) macs.push_back(os::Cluster::mac_of(i, 0));
+    std::vector<net::MacAddr> table;
+    table.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) table.push_back(os::Cluster::mac_of(i, 0));
+    macs = std::make_shared<const std::vector<net::MacAddr>>(std::move(table));
   }
   for (int i = 0; i < n; ++i) {
     if (nic_collectives) {

@@ -40,27 +40,32 @@ void Channel::send(Packet packet, SendCallback on_result) {
     pending_reset_ = false;
   }
   // Every send goes through the one release path so the window and the
-  // pacing gap apply uniformly. In fixed mode a non-empty pending_ means a
-  // full window, so a new packet goes out at once exactly when nothing
-  // waits ahead of it.
-  pending_.push_back(Unacked{std::move(packet), std::move(on_result)});
+  // pacing gap apply uniformly. In fixed mode a waiting entry means a full
+  // window, so a new packet goes out at once exactly when nothing waits
+  // ahead of it.
+  if (window_ == nullptr) window_ = std::make_unique<std::deque<Unacked>>();
+  window_->push_back(Unacked{std::move(packet), std::move(on_result)});
   pump();
 }
 
 void Channel::pump() {
+  if (window_ == nullptr) return;  // nothing was ever sent
   const sim::SimTime now = ops_->kernel().sim().now();
+  const auto waiting = [this] {
+    return window_->size() > static_cast<std::size_t>(in_flight_);
+  };
   // Congestion-window validation (RFC 2861): a window that was opened by a
   // previous burst says nothing about the path *now*. After an idle gap
   // longer than the RTO, restart from cwnd_init and let slow start re-probe
   // — under periodic incast this is what stops every wave from blasting the
   // stale window of the previous one into the same shallow queue. A fixed
   // window never moves off init_window_, so it never restarts.
-  if (cwnd_pkts_ > static_cast<double>(init_window_) && unacked_.empty() &&
-      !pending_.empty() && last_activity_ > 0 &&
+  if (cwnd_pkts_ > static_cast<double>(init_window_) && in_flight_ == 0 &&
+      waiting() && last_activity_ > 0 &&
       now - last_activity_ > current_rto()) {
     cwnd_pkts_ = static_cast<double>(init_window_);
   }
-  while (!pending_.empty() && in_flight() < cwnd()) {
+  while (waiting() && in_flight_ < cwnd()) {
     if (now < pace_next_) {
       // Too soon after the previous release: wake up exactly at the pace
       // boundary. One timer at a time — the wake re-enters this pump.
@@ -72,16 +77,14 @@ void Channel::pump() {
       }
       break;
     }
-    Unacked entry = std::move(pending_.front());
-    pending_.pop_front();
+    Unacked& entry = (*window_)[static_cast<std::size_t>(in_flight_)];
     entry.sent_at = now;
     last_activity_ = now;
     transmit(entry.packet);
-    const std::uint32_t seq = entry.packet.header.seq;
-    unacked_.emplace(seq, std::move(entry));
+    ++in_flight_;
     pace_next_ = now + pace_gap_;
   }
-  if (!unacked_.empty()) arm_rto();
+  if (in_flight_ > 0) arm_rto();
 }
 
 void Channel::grow_window() {
@@ -110,8 +113,9 @@ void Channel::retransmit_window(int budget) {
   // consecutive packets, resending only the head heals one sequence number
   // per RTO — N losses cost N×RTO. Resending a window per round (and a
   // further window on every partial ack) heals the whole run in ~one RTO.
-  for (auto& [seq, entry] : unacked_) {
-    if (budget-- <= 0) break;
+  const int count = std::min(budget, in_flight_);
+  for (int i = 0; i < count; ++i) {
+    Unacked& entry = (*window_)[static_cast<std::size_t>(i)];
     entry.retransmitted = true;  // Karn: its ack yields no sample
     // Retransmission must not re-trigger the caller's descriptor callback.
     entry.packet.on_descriptor_done = {};
@@ -138,19 +142,22 @@ std::uint32_t Channel::take_piggyback_ack() {
 void Channel::process_ack(std::uint32_t ack) {
   bool advanced = false;
   bool sampled = false;
-  while (!unacked_.empty() && unacked_.begin()->first < ack) {
-    auto node = unacked_.extract(unacked_.begin());
+  while (in_flight_ > 0 && window_->front().packet.header.seq < ack) {
+    // Off the window before the callback runs: it may send() again.
+    Unacked entry = std::move(window_->front());
+    window_->pop_front();
+    --in_flight_;
     // Karn's rule: only packets transmitted exactly once yield samples — a
     // retransmitted packet's ack is ambiguous about which copy it acks.
     // Packets that waited in the peer's reorder buffer still sample: their
     // ack delay includes loss-recovery wait, which overestimates — raising
     // the RTO exactly when the path is struggling.
-    if (sample_rtt_ && !node.mapped().retransmitted) {
-      rtt_.sample(ops_->kernel().sim().now() - node.mapped().sent_at);
+    if (sample_rtt_ && !entry.retransmitted) {
+      rtt_.sample(ops_->kernel().sim().now() - entry.sent_at);
       sampled = true;
     }
     grow_window();
-    if (node.mapped().on_result) node.mapped().on_result(true);
+    if (entry.on_result) entry.on_result(true);
     advanced = true;
   }
   if (!advanced) return;
@@ -180,7 +187,7 @@ void Channel::process_ack(std::uint32_t ack) {
       retransmit_window(cwnd());
     }
   }
-  if (!unacked_.empty()) arm_rto();
+  if (in_flight_ > 0) arm_rto();
   pump();
 }
 
@@ -214,7 +221,7 @@ void Channel::arm_rto() {
 
 void Channel::rto_expired() {
   rto_timer_ = os::Kernel::kInvalidTimer;
-  if (unacked_.empty()) {
+  if (in_flight_ == 0) {
     backoff_level_ = 0;
     return;
   }
@@ -258,19 +265,17 @@ void Channel::give_up() {
     ops_->kernel().cancel_timer(pace_timer_);
     pace_timer_ = os::Kernel::kInvalidTimer;
   }
-  auto unacked = std::move(unacked_);
-  auto pending = std::move(pending_);
-  unacked_.clear();
-  pending_.clear();
-  // Containers are detached first: a callback may immediately send() again.
-  for (auto& [seq, entry] : unacked) {
-    if (entry.on_result) entry.on_result(false);
-  }
-  for (auto& entry : pending) {
-    // Window-blocked packets were never handed to the driver; release any
-    // sync sender waiting on their DMA so it does not block forever on a
-    // descriptor that will never be posted.
-    if (entry.packet.on_descriptor_done) entry.packet.on_descriptor_done();
+  // The window is detached first: a callback may immediately send() again.
+  const auto window = std::move(window_);
+  const int sent = std::exchange(in_flight_, 0);
+  for (std::size_t i = 0; i < window->size(); ++i) {
+    Unacked& entry = (*window)[i];
+    if (static_cast<int>(i) >= sent && entry.packet.on_descriptor_done) {
+      // Window-blocked packets were never handed to the driver; release
+      // any sync sender waiting on their DMA so it does not block forever
+      // on a descriptor that will never be posted.
+      entry.packet.on_descriptor_done();
+    }
     if (entry.on_result) entry.on_result(false);
   }
 }

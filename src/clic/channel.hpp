@@ -20,6 +20,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 
 #include "clic/config.hpp"
 #include "clic/header.hpp"
@@ -86,10 +87,12 @@ class Channel {
                  net::Buffer payload);
 
   // --- Introspection ----------------------------------------------------------
-  [[nodiscard]] int in_flight() const {
-    return static_cast<int>(unacked_.size());
+  [[nodiscard]] int in_flight() const { return in_flight_; }
+  [[nodiscard]] std::size_t pending() const {
+    return window_ == nullptr
+               ? 0
+               : window_->size() - static_cast<std::size_t>(in_flight_);
   }
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
   [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }
   [[nodiscard]] std::uint64_t duplicates() const { return duplicates_; }
   [[nodiscard]] std::uint64_t out_of_order() const { return out_of_order_; }
@@ -124,7 +127,7 @@ class Channel {
   };
 
   void transmit(Packet& packet);
-  void pump();  // paced, window-limited release of pending_
+  void pump();  // paced, window-limited release of the waiting entries
   void process_ack(std::uint32_t ack);
   void arm_rto();
   void rto_expired();
@@ -134,7 +137,8 @@ class Channel {
 
   void grow_window();     // slow start below ssthresh, +1/cwnd above
   void collapse_window();  // timeout response: ssthresh = inflight/2
-  // Resends up to `budget` of the oldest unacked packets.
+  // Resends up to `budget` of the oldest unacked packets (never a waiting
+  // one: those have not been sent yet).
   void retransmit_window(int budget);
 
   const Config* config_;
@@ -154,12 +158,17 @@ class Channel {
   const bool go_back_n_;
   const bool ack_gaps_at_once_;
 
-  // TX state. The retransmit timer is a cancellable kernel (wheel) timer:
-  // fresh ack progress cancels and re-arms it instead of bumping a
-  // generation counter and stranding the superseded closure.
+  // TX state. The retransmit timer is a cancellable kernel timer (a
+  // simulator event): fresh ack progress cancels and re-arms it.
   std::uint32_t next_seq_ = 0;
-  std::map<std::uint32_t, Unacked> unacked_;
-  std::deque<Unacked> pending_;  // waiting for window space
+  // The send window, in sequence order: entries [0, in_flight_) have been
+  // transmitted and await their cumulative ack, the rest wait for window
+  // space or the pacing gap. The first send() creates it, so a channel
+  // that only receives allocates nothing. It is a chunked deque rather
+  // than a contiguous ring because one large message can queue thousands
+  // of fragments behind a 64-packet window (DESIGN.md §4k).
+  std::unique_ptr<std::deque<Unacked>> window_;
+  int in_flight_ = 0;
   os::Kernel::TimerId rto_timer_ = os::Kernel::kInvalidTimer;
   int backoff_level_ = 0;       // consecutive expiries with no progress
   bool pending_reset_ = false;  // next data packet carries flags::kReset

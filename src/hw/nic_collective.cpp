@@ -21,14 +21,14 @@ int low_bit_span(int relative, int n) {
 }  // namespace
 
 NicCollectiveEngine::NicCollectiveEngine(Nic& nic, int rank,
-                                         std::vector<net::MacAddr> rank_macs,
+                                         MacTable rank_macs,
                                          Params params)
     : nic_(&nic),
       sim_(&nic.sim()),
       rank_(rank),
       macs_(std::move(rank_macs)),
       params_(params) {
-  if (macs_.empty() || rank_ < 0 || rank_ >= size()) {
+  if (macs_ == nullptr || macs_->empty() || rank_ < 0 || rank_ >= size()) {
     throw std::invalid_argument("NicCollectiveEngine: bad rank/job size");
   }
   nic_->set_fw_sink(kCollectiveEtherType,
@@ -152,7 +152,7 @@ void NicCollectiveEngine::send_frame(int dst_rank, CollOp op,
   h.seq = seq;
 
   net::Frame f;
-  f.dst = macs_.at(static_cast<std::size_t>(dst_rank));
+  f.dst = macs_->at(static_cast<std::size_t>(dst_rank));
   f.src = nic_->mac();
   f.ethertype = kCollectiveEtherType;
   f.header = net::HeaderBlob::of(std::move(h), kCollHeaderBytes);

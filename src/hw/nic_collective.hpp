@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -61,14 +62,17 @@ class NicCollectiveEngine {
  public:
   using Params = NicCollectiveParams;
 
-  // `rank_macs[r]` is rank r's NIC MAC (rank_macs.size() == job size).
-  // Registers the engine as the NIC's firmware sink for the collective
-  // ethertype; the NIC must outlive the engine.
-  NicCollectiveEngine(Nic& nic, int rank, std::vector<net::MacAddr> rank_macs,
+  // `(*rank_macs)[r]` is rank r's NIC MAC (its size == job size). Every
+  // engine of a job shares the one immutable table, so a job costs one
+  // table rather than one per rank. Registers the engine as the NIC's
+  // firmware sink for the collective ethertype; the NIC must outlive the
+  // engine.
+  using MacTable = std::shared_ptr<const std::vector<net::MacAddr>>;
+  NicCollectiveEngine(Nic& nic, int rank, MacTable rank_macs,
                       Params params = {});
 
   [[nodiscard]] int rank() const { return rank_; }
-  [[nodiscard]] int size() const { return static_cast<int>(macs_.size()); }
+  [[nodiscard]] int size() const { return static_cast<int>(macs_->size()); }
 
   // --- Host-facing descriptors -------------------------------------------
   // Each posts one collective; `done` fires (on this NIC's simulator) when
@@ -129,7 +133,7 @@ class NicCollectiveEngine {
   Nic* nic_;
   sim::Simulator* sim_;
   int rank_;
-  std::vector<net::MacAddr> macs_;
+  MacTable macs_;
   Params params_;
   std::unordered_map<std::uint64_t, Op> ops_;
   std::uint64_t frames_sent_ = 0;

@@ -22,6 +22,20 @@ struct MacAddr {
 
   // Locally-administered unicast address for cluster node `id`.
   static MacAddr node(std::uint32_t id);
+  // The address of NIC `nic` (0..255) on cluster node `node` (< 2^24),
+  // node(node << 8 | nic): how os::Cluster numbers every NIC.
+  static MacAddr of_nic(int node, int nic) {
+    return MacAddr::node(static_cast<std::uint32_t>(node) << 8 |
+                         static_cast<std::uint32_t>(nic));
+  }
+  // The (node, nic) an of_nic() address was built from; false for every
+  // other address.
+  [[nodiscard]] bool nic_id(int& node, int& nic) const {
+    if (octets[0] != 0x02 || octets[1] != 0x00) return false;
+    node = octets[2] << 16 | octets[3] << 8 | octets[4];
+    nic = octets[5];
+    return true;
+  }
   static MacAddr broadcast();
   // Multicast group address (01:xx:...) for group `id`.
   static MacAddr multicast(std::uint32_t id);

@@ -30,9 +30,20 @@ void Switch::Port::frame_arrived(Frame frame) {
   owner->ingress(index, std::move(frame));
 }
 
-int Switch::learned_port(const MacAddr& mac) const {
-  auto it = table_.find(mac);
-  return it == table_.end() ? -1 : it->second;
+void Switch::size_station_table(int nodes, int nics_per_node) {
+  if (nodes < 0 || nics_per_node < 1 || nics_per_node > 256) {
+    throw std::invalid_argument("Switch: bad station table shape");
+  }
+  station_nodes_ = nodes;
+  station_nics_ = nics_per_node;
+  stations_.assign(static_cast<std::size_t>(nodes) *
+                       static_cast<std::size_t>(nics_per_node),
+                   -1);
+}
+
+int Switch::foreign_port(const MacAddr& mac) const {
+  auto it = foreign_.find(mac);
+  return it == foreign_.end() ? -1 : it->second;
 }
 
 void Switch::ingress(int port, Frame frame) {
@@ -48,7 +59,7 @@ void Switch::ingress(int port, Frame frame) {
     return;
   }
 
-  if (!frame.src.is_multicast()) table_[frame.src] = port;
+  if (!frame.src.is_multicast()) learn(frame.src, port);
 
   if (frame.dst.is_multicast()) {  // includes broadcast
     flood_from(port, frame);

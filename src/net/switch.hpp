@@ -5,6 +5,14 @@
 // ingress. Output queues are bounded in frames (tail drop), matching the
 // "finite buffering capabilities" the paper cites as a reason applications
 // need a reliability layer.
+//
+// The MAC table is dense for the cluster's own NICs: after
+// size_station_table(nodes, nics_per_node), the MacAddr::of_nic address of
+// each of those NICs owns one int slot, so learning and lookup are one
+// indexed store or load, and a 1024-node fabric costs 4 bytes per
+// (switch, NIC) instead of a hash node. Any other unicast address (and
+// every address on a switch whose table was never sized) lives in a hash
+// map that stays empty, and allocates nothing, until such a frame appears.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +68,6 @@ class Switch {
   [[nodiscard]] std::uint64_t dropped_on(int port) const {
     return ports_.at(static_cast<std::size_t>(port))->drops;
   }
-  [[nodiscard]] std::size_t mac_table_size() const { return table_.size(); }
 
   // Flood pruning (the fabric's spanning tree): a port with flooding
   // disabled never receives flooded copies, but unicast frames with a
@@ -74,14 +81,29 @@ class Switch {
     return ports_.at(static_cast<std::size_t>(port))->flood;
   }
 
+  // Gives NICs 0..nics_per_node-1 of nodes 0..nodes-1 a dense table slot
+  // each, all unknown (-1). Call before learning any of them.
+  void size_station_table(int nodes, int nics_per_node);
+
   // The port a MAC was learned on; -1 when unknown.
-  [[nodiscard]] int learned_port(const MacAddr& mac) const;
+  [[nodiscard]] int learned_port(const MacAddr& mac) const {
+    const int slot = station_slot(mac);
+    return slot >= 0 ? stations_[static_cast<std::size_t>(slot)]
+                     : foreign_port(mac);
+  }
 
   // Static table entry (equivalent to the gratuitous learning frames real
   // hosts emit at link-up; keeps rarely-transmitting NICs — e.g. the
   // secondary cards of a bonded pair — from causing unknown-unicast
-  // flooding).
-  void learn(const MacAddr& mac, int port) { table_[mac] = port; }
+  // flooding). Ingress learning writes the same entry.
+  void learn(const MacAddr& mac, int port) {
+    const int slot = station_slot(mac);
+    if (slot >= 0) {
+      stations_[static_cast<std::size_t>(slot)] = port;
+    } else {
+      foreign_[mac] = port;
+    }
+  }
 
  private:
   struct Port : FrameSink {
@@ -97,6 +119,18 @@ class Switch {
     void frame_arrived(Frame frame) override;
   };
 
+  // The dense slot of a cluster NIC address; -1 for any other address.
+  [[nodiscard]] int station_slot(const MacAddr& mac) const {
+    int node = 0;
+    int nic = 0;
+    if (!mac.nic_id(node, nic) || node >= station_nodes_ ||
+        nic >= station_nics_) {
+      return -1;
+    }
+    return node * station_nics_ + nic;
+  }
+  [[nodiscard]] int foreign_port(const MacAddr& mac) const;
+
   void ingress(int port, Frame frame);
   void flood_from(int port, Frame& frame);
   void egress(int port, const Frame& frame);
@@ -105,7 +139,10 @@ class Switch {
   SwitchParams params_;
   std::string name_;
   std::vector<std::unique_ptr<Port>> ports_;
-  std::unordered_map<MacAddr, int, MacAddrHash> table_;
+  int station_nodes_ = 0;
+  int station_nics_ = 0;
+  std::vector<int> stations_;  // node * station_nics_ + nic -> port
+  std::unordered_map<MacAddr, int, MacAddrHash> foreign_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t flooded_ = 0;
   std::uint64_t dropped_ = 0;

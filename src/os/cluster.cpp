@@ -57,6 +57,10 @@ void Cluster::build(sim::Simulator& home) {
     switches_.push_back(std::make_unique<net::Switch>(
         sim_for_shard(shard_of_switch(s)), plan.ports_of(s), config_.sw,
         plan.switch_name(s)));
+    // One dense slot per cluster NIC: the learning below and every frame's
+    // source learning and destination lookup index it directly.
+    switches_.back()->size_station_table(config_.nodes,
+                                         config_.nics_per_node);
   }
 
   for (int i = 0; i < config_.nodes; ++i) {

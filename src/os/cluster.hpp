@@ -108,9 +108,7 @@ class Cluster {
   [[nodiscard]] sim::Simulator& switch_sim() { return sim_of_switch(0); }
 
   [[nodiscard]] static net::MacAddr mac_of(int node, int nic = 0) {
-    return net::MacAddr::node(
-        static_cast<std::uint32_t>(node) << 8 |
-        static_cast<std::uint32_t>(nic));
+    return net::MacAddr::of_nic(node, nic);
   }
 
   // Sets the MTU on every NIC in the cluster (jumbo on/off sweeps).

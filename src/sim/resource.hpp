@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "sim/inline_function.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -62,11 +62,12 @@ inline constexpr int kCpuPriorityCount = 4;
 // When the resource is free the highest-priority pending item starts and
 // runs to completion; same-priority items run in submission order.
 //
-// One FIFO deque per priority class replaces the former fat-entry
-// priority_queue: dispatch picks the highest non-empty class in O(1), and
-// the queued completion closures are never sifted, only moved once in and
-// once out. The running item's closure parks in a member slot so the
-// simulator event that completes it captures nothing but `this`.
+// One FIFO ring per priority class: dispatch picks the highest non-empty
+// class in O(1), and the queued completion closures are never sifted, only
+// moved once in and once out. The rings allocate nothing until first used
+// and then only grow to the deepest backlog the class has seen, so an idle
+// CPU costs no heap. The running item's closure parks in a member slot so
+// the simulator event that completes it captures nothing but `this`.
 class PriorityResource {
  public:
   PriorityResource(Simulator& sim, std::string name)
@@ -97,7 +98,7 @@ class PriorityResource {
 
  private:
   struct Item {
-    SimTime duration;
+    SimTime duration = 0;
     Action done;
   };
 
@@ -106,7 +107,7 @@ class PriorityResource {
 
   Simulator* sim_;
   std::string name_;
-  std::deque<Item> queues_[kCpuPriorityCount];
+  RingQueue<Item> queues_[kCpuPriorityCount];
   bool busy_ = false;
   Action running_done_;
   SimTime total_busy_ns_ = 0;

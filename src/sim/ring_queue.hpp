@@ -1,12 +1,15 @@
 // A FIFO over a recycled circular slot array: the deque replacement for the
 // packet-path rings (driver TX queue, kernel bottom halves, NIC RX ring and
-// TX in-flight list).
+// TX in-flight list) and the CPU's per-priority run queues.
 //
-// std::deque allocates and frees a chunk every few hundred push/pop cycles
-// as the ring wraps; RingQueue grows its slot array geometrically and then
-// never touches the allocator again, so steady-state frame traffic is
-// allocation-free. Fully deterministic: growth depends only on the queue's
-// own history.
+// std::deque allocates a map and a chunk before it holds anything, and
+// frees and reallocates chunks every few hundred push/pop cycles as the
+// ring wraps. RingQueue allocates nothing until the first push, then grows
+// its slot array by doubling from one slot (so the capacity is always a
+// power of two) and never touches the allocator again: steady-state frame
+// traffic is allocation-free, and a queue that only ever holds a couple of
+// items (most of a 1024-node cluster's CPUs) costs a couple of slots. Fully
+// deterministic: growth depends only on the queue's own history.
 //
 // T must be default-constructible and move-assignable. pop_front() resets
 // the vacated slot to T{} so resources held by the element (pooled buffers,
@@ -40,9 +43,17 @@ class RingQueue {
     push_back(T(std::forward<Args>(args)...));
   }
 
+  // Inserts ahead of the current front.
+  void push_front(T value) {
+    if (count_ == slots_.size()) grow();
+    head_ = (head_ - 1) & mask();
+    slots_[head_] = std::move(value);
+    ++count_;
+  }
+
   void pop_front() {
     slots_[head_] = T{};  // release the element's resources now
-    head_ = (head_ + 1) % slots_.size();
+    head_ = (head_ + 1) & mask();
     --count_;
   }
 
@@ -51,12 +62,13 @@ class RingQueue {
   }
 
  private:
+  [[nodiscard]] std::size_t mask() const { return slots_.size() - 1; }
   [[nodiscard]] std::size_t index_of(std::size_t i) const {
-    return (head_ + i) % slots_.size();
+    return (head_ + i) & mask();
   }
 
   void grow() {
-    std::vector<T> bigger(slots_.empty() ? 8 : slots_.size() * 2);
+    std::vector<T> bigger(slots_.empty() ? 1 : slots_.size() * 2);
     for (std::size_t i = 0; i < count_; ++i) {
       bigger[i] = std::move(slots_[index_of(i)]);
     }

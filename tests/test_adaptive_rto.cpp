@@ -218,6 +218,26 @@ TEST(AdaptiveChannel, SlowStartOpensAndTimeoutCollapsesTheWindow) {
   EXPECT_GE(ch.window_collapses(), 1u);
 }
 
+TEST(AdaptiveChannel, LossRecoveryResendsOnlyPacketsThatWereSent) {
+  // Recovery resends up to a window (cwnd_init = 4) of the oldest unacked
+  // packets. Here only one has been sent: the rest wait on a pacing gap
+  // longer than the test, and a timeout must not put them on the wire.
+  FakeOps ops;
+  Config cfg;
+  cfg.adaptive = true;
+  cfg.cwnd_init = 4;
+  cfg.pacing_gap = sim::milliseconds(50.0);
+  Channel ch(cfg, ops, 1);
+  for (int i = 0; i < 6; ++i) ch.send(data_packet());
+  ASSERT_EQ(ops.emitted.size(), 1u);
+  ops.sim.run_until(sim::milliseconds(10.0));
+  EXPECT_GE(ch.timeouts(), 1u);
+  EXPECT_EQ(ch.retransmits(), ch.timeouts());
+  for (const Packet& p : ops.emitted) EXPECT_EQ(p.header.seq, 0u);
+  EXPECT_EQ(ch.in_flight(), 1);
+  EXPECT_EQ(ch.pending(), 5u);
+}
+
 TEST(AdaptiveChannel, PacingSpacesReleases) {
   FakeOps ops;
   Config cfg;

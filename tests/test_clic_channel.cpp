@@ -68,6 +68,65 @@ TEST(Channel, WindowBlocksExcessAndAcksRelease) {
   EXPECT_EQ(ch.in_flight(), 4);
 }
 
+TEST(Channel, SendFromAckCallbackQueuesBehindWaitingPackets) {
+  // A completion callback runs while the ack is still draining the window.
+  // A send() it makes takes the next sequence number and waits behind the
+  // packets that were already waiting for window space.
+  FakeOps ops;
+  Config cfg;
+  cfg.window_packets = 2;
+  Channel ch(cfg, ops, 1);
+  std::vector<int> results;
+  ch.send(data_packet(), [&](bool ok) {
+    results.push_back(ok ? 0 : -1);
+    EXPECT_EQ(ch.in_flight(), 1);  // seq 0 is already off the window
+    ch.send(data_packet(), [&](bool ok4) { results.push_back(ok4 ? 4 : -1); });
+  });
+  ch.send(data_packet(), [&](bool ok) { results.push_back(ok ? 1 : -1); });
+  ch.send(data_packet());
+  ch.send(data_packet());
+  ASSERT_EQ(ops.emitted.size(), 2u);
+  EXPECT_EQ(ch.pending(), 2u);
+
+  ClicHeader ack;
+  ack.flags = flags::kPureAck;
+  ack.ack = 2;
+  ch.packet_in(ack, {}, net::Buffer::zeros(0));
+  EXPECT_EQ(results, (std::vector<int>{0, 1}));
+  ASSERT_EQ(ops.emitted.size(), 4u);
+  EXPECT_EQ(ops.emitted[2].header.seq, 2u);
+  EXPECT_EQ(ops.emitted[3].header.seq, 3u);
+  EXPECT_EQ(ch.in_flight(), 2);
+  EXPECT_EQ(ch.pending(), 1u);
+
+  ack.ack = 4;
+  ch.packet_in(ack, {}, net::Buffer::zeros(0));
+  ASSERT_EQ(ops.emitted.size(), 5u);
+  EXPECT_EQ(ops.emitted[4].header.seq, 4u);
+  ack.ack = 5;
+  ch.packet_in(ack, {}, net::Buffer::zeros(0));
+  EXPECT_EQ(results, (std::vector<int>{0, 1, 4}));
+  EXPECT_EQ(ch.in_flight(), 0);
+  EXPECT_EQ(ch.pending(), 0u);
+}
+
+TEST(Channel, SendFromAckCallbackGoesOutAtOnceWhenTheWindowHasRoom) {
+  FakeOps ops;
+  Config cfg;
+  cfg.window_packets = 4;
+  Channel ch(cfg, ops, 1);
+  ch.send(data_packet(), [&](bool) { ch.send(data_packet()); });
+  ch.send(data_packet());
+  ClicHeader ack;
+  ack.flags = flags::kPureAck;
+  ack.ack = 1;  // acks seq 0 only; seq 1 stays in flight
+  ch.packet_in(ack, {}, net::Buffer::zeros(0));
+  ASSERT_EQ(ops.emitted.size(), 3u);
+  EXPECT_EQ(ops.emitted[2].header.seq, 2u);
+  EXPECT_EQ(ch.in_flight(), 2);
+  EXPECT_EQ(ch.pending(), 0u);
+}
+
 TEST(Channel, OnAckedFiresOnCumulativeAck) {
   FakeOps ops;
   Config cfg;

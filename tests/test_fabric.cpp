@@ -223,6 +223,56 @@ int trunk_port(const os::TopologyPlan& plan, int sw, int other) {
   return -1;
 }
 
+TEST(Fabric, FloodOverTheTreeRepointsAStaticRoute) {
+  // Ingress learning overrides a static route. Leaf 0 reaches node 3 via
+  // spine 1 (3 % 2 spines), but node 3's broadcast reaches leaf 0 over the
+  // flood tree (the spine-0 star), so leaf 0 re-learns node 3 on its
+  // spine-0 port and later unicast to node 3 crosses spine 0 instead.
+  os::ClusterConfig cc;
+  cc.nodes = 4;
+  cc.topology = os::TopologySpec::leaf_spine(2, 2);
+  sim::Simulator sim;
+  os::Cluster cluster(sim, cc);
+  const os::TopologyPlan& plan = cluster.topology();
+  const int spine0 = plan.leaves();
+  const int spine1 = plan.leaves() + 1;
+  ASSERT_EQ(plan.leaf_of_node(0), 0);
+  ASSERT_EQ(plan.leaf_of_node(3), 1);
+
+  std::vector<Catcher> hosts(static_cast<std::size_t>(cc.nodes));
+  for (int n = 0; n < cc.nodes; ++n) {
+    cluster.link(n).attach(0, &hosts[static_cast<std::size_t>(n)]);
+  }
+  const net::MacAddr mac3 = os::Cluster::mac_of(3);
+  EXPECT_EQ(cluster.switch_at(0).learned_port(mac3),
+            trunk_port(plan, 0, spine1));
+
+  cluster.link(3).send(0, make_frame(net::MacAddr::broadcast(), mac3,
+                                     net::Buffer::pattern(200, 1)));
+  sim.run();
+  for (int n = 0; n < 3; ++n) {
+    EXPECT_EQ(hosts[static_cast<std::size_t>(n)].frames.size(), 1u) << n;
+  }
+  EXPECT_EQ(hosts[3].frames.size(), 0u);
+  EXPECT_EQ(cluster.switch_at(0).learned_port(mac3),
+            trunk_port(plan, 0, spine0));
+  EXPECT_EQ(cluster.switch_at(spine0).learned_port(mac3),
+            trunk_port(plan, spine0, 1));
+  // No flood reaches spine 1 (its trunks are off the tree): its static
+  // route stands.
+  EXPECT_EQ(cluster.switch_at(spine1).learned_port(mac3),
+            plan.route(spine1, 3));
+
+  const std::uint64_t via0 = cluster.switch_at(spine0).forwarded();
+  const std::uint64_t via1 = cluster.switch_at(spine1).forwarded();
+  cluster.link(0).send(0, make_frame(mac3, os::Cluster::mac_of(0),
+                                     net::Buffer::pattern(200, 2)));
+  sim.run();
+  EXPECT_EQ(hosts[3].frames.size(), 1u);
+  EXPECT_EQ(cluster.switch_at(spine0).forwarded(), via0 + 1);
+  EXPECT_EQ(cluster.switch_at(spine1).forwarded(), via1);
+}
+
 TEST(Fabric, UnicastCrossesTrunksWithoutFloodingAndLearnsAcrossHops) {
   os::ClusterConfig cc;
   cc.nodes = 4;

@@ -7,6 +7,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
@@ -230,6 +231,34 @@ TEST(FifoResource, IdleGapsDoNotAccumulate) {
   sim.run();
   EXPECT_EQ(done, 1050);  // starts immediately, not at 50+50
   EXPECT_DOUBLE_EQ(bus.utilization(), 100.0 / 1050.0);
+}
+
+// Front-to-back contents, read by draining a copy.
+std::vector<int> contents(RingQueue<int> q) {
+  std::vector<int> out;
+  for (; !q.empty(); q.pop_front()) out.push_back(q.front());
+  return out;
+}
+
+TEST(RingQueue, PushFrontAndOrderAcrossGrowthAndWrapAround) {
+  RingQueue<int> q;
+  q.push_back(1);   // capacity 1
+  q.push_front(0);  // grows to 2; the head wraps to the last slot
+  EXPECT_EQ(contents(q), (std::vector<int>{0, 1}));
+  q.push_back(2);    // grows to 4 from a wrapped ring
+  q.push_front(-1);  // head wraps again
+  EXPECT_EQ(contents(q), (std::vector<int>{-1, 0, 1, 2}));
+  q.pop_front();
+  q.pop_front();
+  q.push_back(3);  // the tail wraps past the end of the 4 slots
+  q.push_back(4);
+  EXPECT_EQ(q.front(), 1);
+  EXPECT_EQ(contents(q), (std::vector<int>{1, 2, 3, 4}));
+  q.push_front(0);  // grows to 8 while wrapped
+  EXPECT_EQ(contents(q), (std::vector<int>{0, 1, 2, 3, 4}));
+  while (!q.empty()) q.pop_front();
+  q.push_front(7);  // an emptied ring still takes a front push
+  EXPECT_EQ(contents(q), (std::vector<int>{7}));
 }
 
 TEST(PriorityResource, HigherPriorityRunsFirst) {
